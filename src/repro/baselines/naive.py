@@ -21,7 +21,7 @@ from repro.congest.network import Network, UniformInputs
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.pipelining import items_per_message
 from repro.congest.policy import BandwidthPolicy
-from repro.core.trying import all_colored, coloring_from_programs
+from repro.core.trying import all_colored
 from repro.results import ColoringResult
 
 _TAG_STATUS = "S"
@@ -184,7 +184,7 @@ def naive_congest_d2_color(
         stop_when=all_colored,
         raise_on_timeout=False,
     )
-    coloring = coloring_from_programs(network.programs)
+    coloring = network.node_colors()
     return ColoringResult(
         algorithm="naive-g2-simulation",
         coloring=coloring,

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from repro.congest.node import NodeProgram
-
 TAG_TRY = "T"
 TAG_VERDICT = "V"
 TAG_ADOPT = "A"
@@ -152,11 +150,6 @@ class TryPhaseMixin(ColorTracker):
             inbox = yield {}
         self.record_adopts(inbox)
         return adopted
-
-
-def coloring_from_programs(programs: Dict[int, NodeProgram]) -> Dict[int, Optional[int]]:
-    """Collect ``program.color`` from every node program."""
-    return {node: program.color for node, program in programs.items()}
 
 
 def all_colored(network, _round_index: int) -> bool:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro.congest.network import Network
+from repro.congest.network import Network, UniformInputs
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.pipelining import items_per_message
 from repro.congest.policy import BandwidthPolicy
@@ -214,14 +214,17 @@ def _run_linial(
         "relay_rounds": relay_rounds,
         "per_message": per_message,
     }
-    inputs = {}
-    for v in graph.nodes:
-        node_data = dict(data)
-        if color_in is not None:
-            node_data["color_in"] = color_in[v]
-        if parts is not None:
-            node_data["part"] = parts[v]
-        inputs[v] = node_data
+    if color_in is None and parts is None:
+        inputs = UniformInputs(graph.nodes, data)
+    else:
+        inputs = {}
+        for v in graph.nodes:
+            node_data = dict(data)
+            if color_in is not None:
+                node_data["color_in"] = color_in[v]
+            if parts is not None:
+                node_data["part"] = parts[v]
+            inputs[v] = node_data
 
     network = Network(
         graph, LinialProgram, policy=policy, delta=delta, inputs=inputs

@@ -31,6 +31,13 @@ Coverage is per program class, not per call site:
   — the whole bounded 3q-round schedule, halting included (these are
   the try-phase stages of ``deterministic-d2`` and
   ``eps-d2-coloring``);
+- :class:`LinialProgram` — the whole Linial schedule (Theorem B.1),
+  on G and on G², per part or not: the first stage of
+  ``deterministic-d2`` and ``eps-d2-coloring``;
+- :class:`ColorReductionProgram` — the whole color reduction
+  (Theorem B.2), the last stage of ``deterministic-d2``;
+- :class:`NaiveProgram` — the whole ``naive-g2`` run under its
+  ``all_colored`` monitor;
 - :class:`RandomizedD2Program` — the ``c0·log n`` random-trials
   section of ``improved-d2color``/``basic-d2color``; similarity,
   reduce, learn-palette and finish still run as generators.
@@ -38,7 +45,8 @@ Coverage is per program class, not per call site:
 Everything else — and every run a kernel cannot replay exactly
 (custom ``stop_when`` monitors, ``avoid_known`` candidate selection,
 self-loop graphs, metered payloads that could exceed the budget,
-values that could leave int64, preseeded program state) — falls back
+values that could leave int64, preseeded program state, packed
+relays the per-round packing would truncate) — falls back
 to ``fastpath`` automatically, so ``backend="vectorized"`` is always
 safe to request.  The guarantees are enforced by
 ``tests/test_backend_equivalence.py`` and
@@ -47,7 +55,8 @@ safe to request.  The guarantees are enforced by
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Type
+from collections import Counter
+from typing import Callable, Dict, List, Optional, Type
 
 from repro.baselines.luby import (
     _STATE_DOMINATED,
@@ -57,6 +66,10 @@ from repro.baselines.luby import (
     LubyDistanceKProgram,
     _all_decided,
 )
+from repro.baselines.naive import _LIVE, NaiveProgram
+from repro.baselines.naive import _TAG_RELAY as _NAIVE_RELAY
+from repro.baselines.naive import _TAG_RESULT as _NAIVE_RESULT
+from repro.baselines.naive import _TAG_STATUS as _NAIVE_STATUS
 from repro.baselines.trial import TrialProgram
 from repro.congest.errors import NonterminationError
 from repro.congest.message import bit_size, int_bits
@@ -64,11 +77,19 @@ from repro.congest.metrics import RunMetrics
 from repro.congest.policy import BandwidthMode
 from repro.core.d2color import RandomizedD2Program
 from repro.core.trying import TAG_ADOPT, TAG_TRY, TAG_VERDICT, all_colored
+from repro.det.color_reduction import ColorReductionProgram
+from repro.det.color_reduction import _TAG_COLOR as _CR_COLOR
+from repro.det.color_reduction import _TAG_GATHER as _CR_GATHER
+from repro.det.color_reduction import _TAG_RECOLOR as _CR_RECOLOR
+from repro.det.linial import LinialProgram
+from repro.det.linial import _TAG_COLOR as _LINIAL_COLOR
+from repro.det.linial import _TAG_RELAY as _LINIAL_RELAY
 from repro.det.locally_iterative import LocallyIterativeProgram
 from repro.det.part_d2coloring import PartLocallyIterativeD2
 from repro.exec.base import ExecutionBackend
 from repro.exec.fastpath import PAUSED, GeneratorLoop
 from repro.obs import trace as obs_trace
+from repro.util.primes import is_prime
 
 try:  # numpy/scipy are required deps, but degrade gracefully without
     import numpy as np
@@ -86,41 +107,41 @@ _INT64_SAFE = 2**62
 #: decline the run (fastpath then executes it).
 KERNELS: Dict[Type, Callable] = {}
 
-#: Registry spec name -> the program class its hot network runs; the
-#: spec-name half of :func:`kernel_coverage`.  Coverage through this
-#: table may be partial per run: ``improved-d2color``/``basic-d2color``
-#: kernelize their random-trials section (the rest stays generator
-#: work), ``deterministic-d2``/``eps-d2-coloring`` kernelize their
-#: locally-iterative try-phase stage, and Step-0 deterministic
-#: fallbacks of the randomized specs run other program classes
-#: entirely.
-SPEC_PROGRAMS: Dict[str, Type] = {}
+#: Registry spec name -> the program classes its networks run, in
+#: registration order; the spec-name half of :func:`kernel_coverage`.
+#: Coverage through this table may be partial per run:
+#: ``improved-d2color``/``basic-d2color`` kernelize their random-trials
+#: section (the rest stays generator work), ``eps-d2-coloring`` still
+#: runs its part color reduction and splitting stages via fastpath,
+#: and Step-0 deterministic fallbacks of the randomized specs run other
+#: program classes entirely.
+SPEC_PROGRAMS: Dict[str, List[Type]] = {}
 
 
 def register_kernel(program_cls: Type, *, specs: tuple = ()):
     def deco(fn):
         KERNELS[program_cls] = fn
         for spec_name in specs:
-            SPEC_PROGRAMS[spec_name] = program_cls
+            SPEC_PROGRAMS.setdefault(spec_name, []).append(program_cls)
         return fn
 
     return deco
 
 
-def kernel_coverage() -> Dict[str, str]:
+def kernel_coverage() -> Dict[str, object]:
     """The coverage table, keyed both ways.
 
     ``{program class name: kernel name}`` for every registered kernel,
-    plus ``{registry spec name: kernel name}`` for every spec whose
-    hot network run is kernel-covered (see :data:`SPEC_PROGRAMS` for
-    the partial-coverage caveats).  Specs absent from the table always
-    execute via fastpath.
+    plus ``{registry spec name: (kernel name, ...)}`` — every kernel
+    the spec's runs use — for every spec with kernel coverage (see
+    :data:`SPEC_PROGRAMS` for the partial-coverage caveats).  Specs
+    absent from the table always execute via fastpath.
     """
-    table = {cls.__name__: fn.__name__ for cls, fn in KERNELS.items()}
-    for spec_name, cls in SPEC_PROGRAMS.items():
-        fn = KERNELS.get(cls)
-        if fn is not None:
-            table[spec_name] = fn.__name__
+    table: Dict[str, object] = {
+        cls.__name__: fn.__name__ for cls, fn in KERNELS.items()
+    }
+    for spec_name, classes in SPEC_PROGRAMS.items():
+        table[spec_name] = tuple(KERNELS[cls].__name__ for cls in classes)
     return table
 
 
@@ -757,6 +778,763 @@ def _part_locally_iterative_kernel(
     return _poly_phase_kernel(
         network, max_rounds=max_rounds, stop_when=stop_when,
         raise_on_timeout=raise_on_timeout, with_parts=True,
+    )
+
+
+# ----------------------------------------------------------------------
+# packed relays: every node w forwards to each G-neighbor v the items
+# of its other G-neighbors, cut into per-message chunks (the G² flood
+# of Linial, the color-reduction gather and the naive baseline)
+
+#: Work arrays of the chunked kernels stay near this many elements, so
+#: peak memory does not grow with n.
+_BLOCK = 1 << 21
+
+def _shared(records, keys):
+    """The values of ``keys`` (None when absent) that every record
+    shares — dicts, or objects when ``records`` are programs — else
+    None.  Records that are the very same object (one
+    ``UniformInputs`` payload) are not compared again."""
+    get = (
+        (lambda record, key: record.get(key))
+        if isinstance(records[0], dict)
+        else (lambda record, key: getattr(record, key))
+    )
+    first = records[0]
+    config = tuple(get(first, key) for key in keys)
+    for record in records:
+        if record is first:
+            continue
+        for key, value in zip(keys, config):
+            other = get(record, key)
+            if other is not value and other != value:
+                return None
+    return config
+
+
+def _is_int(value, low=-_INT64_SAFE, high=_INT64_SAFE) -> bool:
+    return isinstance(value, int) and low <= value < high
+
+
+def _int_array(values, low=-_INT64_SAFE, high=_INT64_SAFE):
+    """``values`` as an int64 array, or None unless every one is an
+    int in ``[low, high)``."""
+    if not all(type(value) is int for value in values):
+        return None
+    try:
+        array = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+    if int(array.min()) < low or int(array.max()) >= high:
+        return None
+    return array
+
+
+def _send_rank(network, csr):
+    """Dense index -> position in ``graph.nodes`` order.
+
+    Engines resume nodes in that order, so every inbox lists its
+    senders in it, and a relay list is cut into chunks in it.
+    """
+    index = csr.index
+    pos = np.fromiter(
+        (index[v] for v in network.graph.nodes),
+        dtype=np.int64,
+        count=csr.n,
+    )
+    rank = np.empty(csr.n, dtype=np.int64)
+    rank[pos] = np.arange(csr.n, dtype=np.int64)
+    return rank
+
+
+def _ranges(starts, lens):
+    """The concatenated index ranges ``[starts[i], starts[i] +
+    lens[i])`` and, per index, the ``i`` it came from."""
+    local = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+    flat = (
+        np.arange(int(lens.sum()), dtype=np.int64)
+        - np.repeat(np.cumsum(lens) - lens, lens)
+        + np.repeat(starts, lens)
+    )
+    return flat, local
+
+
+def _spans(weights):
+    """Consecutive ``(start, stop)`` spans of indices whose ``weights``
+    sum stays near :data:`_BLOCK` (at least one index each)."""
+    csum = np.cumsum(weights)
+    start = 0
+    while start < csum.size:
+        base = int(csum[start - 1]) if start else 0
+        stop = max(
+            int(np.searchsorted(csum, base + _BLOCK, side="right")),
+            start + 1,
+        )
+        yield start, stop
+        start = stop
+
+
+def _row_blocks(indptr, rows, width):
+    """``rows`` in slices whose CSR entries times ``width`` stay near
+    :data:`_BLOCK`."""
+    lens = indptr[rows + 1] - indptr[rows]
+    for start, stop in _spans((lens + 1) * width):
+        yield rows[start:stop]
+
+
+class _Relay:
+    """Message accounting of one packed relay step.
+
+    Node w sends G-neighbor v the items of w's other G-neighbors u
+    (with ``group``: only those in v's group), in send order,
+    ``per_message`` items to a message, over ``chunks`` rounds.  Which
+    items share a message depends only on the graph, so the layout is
+    derived once and :meth:`meter` prices it for per-node item sizes.
+    ``fits`` is False when some list would not fit the ``chunks``
+    rounds: the programs then silently drop items, which the kernels
+    do not model.
+    """
+
+    def __init__(self, network, csr, per_message, chunks, group=None):
+        owner = np.repeat(np.arange(csr.n, dtype=np.int64), csr.degrees)
+        self.items = csr.g_indices
+        if group is None:
+            self.block, size = owner, csr.degrees
+        else:
+            gid = np.unique(group, return_inverse=True)[1].reshape(-1)
+            key = owner * (int(gid.max()) + 1) + gid[self.items]
+            _, block, size = np.unique(
+                key, return_inverse=True, return_counts=True
+            )
+            self.block = block.reshape(-1)
+        self.size = size
+        self.chunks = chunks
+        self.per_message = per_message
+        length = size[self.block] - 1  # items each receiver is sent
+        longest = int(length.max()) if length.size else 0
+        self.fits = longest <= chunks * per_message
+        self.single = longest <= per_message
+        self.sent = length > 0
+        if self.single or not self.fits:
+            count = int(self.sent.sum())
+            self.messages = [count] + [0] * (chunks - 1) if chunks else []
+            return
+        # Several chunks: an item's chunk is its position in the
+        # receiver's list, i.e. in the (relay node, group) block sorted
+        # by send rank, minus one if the receiver itself comes first.
+        self._perm = np.lexsort(
+            (_send_rank(network, csr)[self.items], self.block)
+        )
+        sblock = self.block[self._perm]
+        first = np.ones(sblock.size, dtype=bool)
+        first[1:] = sblock[1:] != sblock[:-1]
+        starts = np.flatnonzero(first)
+        self._bsize = size[sblock]
+        self._bstart = np.repeat(starts, self._bsize[starts])
+        self._pos = np.arange(sblock.size, dtype=np.int64) - self._bstart
+        counts = np.zeros(sblock.size * chunks, dtype=np.int64)
+        for _item, key in self._pairs():
+            counts += np.bincount(key, minlength=counts.size)
+        self._sent2 = (counts > 0).reshape(sblock.size, chunks)
+        self.messages = self._sent2.sum(axis=0).tolist()
+
+    def _pairs(self):
+        """(item position, receiver-chunk key) arrays over every
+        (item, receiver) pair of a block, in bounded slices."""
+        pos = self._pos
+        for start, stop in _spans(self._bsize):
+            recv, item = _ranges(
+                self._bstart[start:stop], self._bsize[start:stop]
+            )
+            item += start
+            keep = recv != item
+            item, recv = item[keep], recv[keep]
+            slot = pos[item] - (pos[recv] < pos[item])
+            yield item, recv * self.chunks + slot // self.per_message
+
+    def meter(self, item_bits, header):
+        """Per-chunk ``(bits, max_bits)`` lists for per-node item
+        sizes ``item_bits`` and a per-message ``header``."""
+        chunks = self.chunks
+        bits = [0] * chunks
+        biggest = [0] * chunks
+        if self.single:
+            if self.messages and self.messages[0]:
+                ib = item_bits[self.items]
+                tot = np.bincount(
+                    self.block, weights=ib, minlength=self.size.size
+                )
+                pb = (tot[self.block] - ib)[self.sent].astype(
+                    np.int64
+                ) + header
+                bits[0] = int(pb.sum())
+                biggest[0] = int(pb.max())
+            return bits, biggest
+        ib = item_bits[self.items[self._perm]]
+        acc = np.zeros(self._sent2.size, dtype=np.float64)
+        for item, key in self._pairs():
+            acc += np.bincount(key, weights=ib[item], minlength=acc.size)
+        pb = acc.astype(np.int64).reshape(self._sent2.shape) + header
+        for k in range(chunks):
+            sent = pb[self._sent2[:, k], k]
+            if sent.size:
+                bits[k] = int(sent.sum())
+                biggest[k] = int(sent.max())
+        return bits, biggest
+
+
+def _used_colors(indptr, indices, rows, colors, visible, width):
+    """``(len(rows), width)`` bool: row i marks the colors in
+    ``[0, width)`` of its CSR neighbors ``u`` with ``visible[u]``."""
+    flat, local = _ranges(indptr[rows], indptr[rows + 1] - indptr[rows])
+    nbr = indices[flat]
+    cols = colors[nbr]
+    keep = visible[nbr] & (cols >= 0) & (cols < width)
+    used = np.zeros((rows.size, width), dtype=bool)
+    used[local[keep], cols[keep]] = True
+    return used
+
+
+# ----------------------------------------------------------------------
+# Linial (Theorem B.1): per schedule iteration one color broadcast, the
+# packed G² relay (d2 variant), then a local recolor
+
+
+def _poly_values(digits, q, xs):
+    """Horner evaluation over F_q: ``(m, d+1)`` base-q coefficient
+    digits (low to high) -> ``(m, len(xs))`` values at the points
+    ``xs``."""
+    acc = np.repeat(digits[:, -1:], xs.size, axis=1)
+    for k in range(digits.shape[1] - 2, -1, -1):
+        acc *= xs
+        acc += digits[:, k:k + 1]
+        acc %= q
+    return acc
+
+
+def _linial_recolor(indptr, indices, colors, parts, d, q):
+    """One Linial recolor of every node at once.
+
+    Node v takes ``x·q + p_v(x)`` for the smallest x at which no
+    conflict neighbor (CSR row, same part, different color) has
+    ``p_u(x) == p_v(x)`` — the first pair of v's cover-free set left
+    uncovered (:func:`repro.det.linial._new_color`).  Points are tried
+    in growing windows and a node leaves the scan at its first free
+    one; with q > d·D most nodes find it among the first few x.
+    Returns None if some node has no free pair (the program raises
+    there).
+    """
+    n = colors.size
+    digits = np.empty((n, d + 1), dtype=np.int64)
+    rest = colors.copy()
+    for k in range(d + 1):
+        digits[:, k] = rest % q
+        rest //= q
+    new = np.empty(n, dtype=np.int64)
+    pending = np.arange(n, dtype=np.int64)
+    x0, width = 0, 8
+    while pending.size:
+        if x0 >= q:
+            return None
+        xs = np.arange(x0, min(x0 + width, q), dtype=np.int64)
+        unresolved = []
+        for rows in _row_blocks(indptr, pending, xs.size):
+            own = _poly_values(digits[rows], q, xs)
+            flat, local = _ranges(
+                indptr[rows], indptr[rows + 1] - indptr[rows]
+            )
+            nbr = indices[flat]
+            keep = colors[nbr] != colors[rows][local]
+            if parts is not None:
+                keep &= parts[nbr] == parts[rows][local]
+            nbr, local = nbr[keep], local[keep]
+            blocked = np.zeros(own.shape, dtype=bool)
+            if local.size:
+                hits = _poly_values(digits[nbr], q, xs) == own[local]
+                starts = np.flatnonzero(
+                    np.concatenate(([True], local[1:] != local[:-1]))
+                )
+                blocked[local[starts]] = np.logical_or.reduceat(
+                    hits, starts, axis=0
+                )
+            free = ~blocked
+            done = free.any(axis=1)
+            x = free[done].argmax(axis=1)
+            new[rows[done]] = (x0 + x) * q + own[done, x]
+            unresolved.append(rows[~done])
+        pending = np.concatenate(unresolved)
+        x0 += xs.size
+        width *= 2
+    return new
+
+
+@register_kernel(
+    LinialProgram, specs=("deterministic-d2", "eps-d2-coloring")
+)
+def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
+    """Vectorized :class:`LinialProgram`, on G and on G², per part or
+    not.
+
+    Every schedule iteration is one round of ``(C, color, part)``
+    broadcasts, the packed relay rounds (G² variant), and the local
+    recolor of :func:`_linial_recolor`.  Declines on stop monitors,
+    round caps inside the schedule, colors the cover-free family
+    rejects, relays the packing would truncate, and metered payloads
+    over the budget.
+    """
+    if stop_when is not None:
+        return None
+    plan = network.plan()
+    csr = plan.csr
+    if csr.has_selfloops:
+        return None
+    n = csr.n
+    order = csr.order
+
+    keys = ("schedule", "relay", "relay_rounds", "per_message")
+    if network.materialized:
+        records = [network.programs[v] for v in order]
+        colors_in = [p.color for p in records]
+        parts_in = [p.part for p in records]
+    else:
+        records = [plan.input_for(v) for v in order]
+        colors_in = [
+            data.get("color_in", v) for v, data in zip(order, records)
+        ]
+        parts_in = [data.get("part", 0) for data in records]
+    config = _shared(records, keys)
+    if config is None or None in config:
+        return None  # mixed, or a constructor KeyError
+    schedule, relay, relay_rounds, per_message = config
+    relay = bool(relay)
+    try:
+        steps = [(d, q) for d, q, _m_new in schedule]
+        if relay:
+            packing = [
+                (per_message[i], relay_rounds[i])
+                for i in range(len(steps))
+            ]
+    except (TypeError, ValueError, IndexError):
+        return None
+    for d, q in steps:
+        if not (_is_int(d, 0, 64) and _is_int(q, 2, _BLOCK)
+                and is_prime(q)):
+            return None
+    if relay and not all(
+        _is_int(pm, 1) and _is_int(rr, 0, 2**31) for pm, rr in packing
+    ):
+        return None
+    total_rounds = sum(
+        1 + (packing[i][1] if relay else 0) for i in range(len(steps))
+    )
+    if total_rounds >= max_rounds:
+        return None  # the cap lands inside the schedule
+
+    total_messages = total_bits = max_message_bits = 0
+    if not steps:
+        # Nothing to do: every node returns its input color at once.
+        final = colors_in
+    else:
+        d0, q0 = steps[0]
+        # degree_le_polynomials rejects colors outside [0, q^(d+1)).
+        colors = _int_array(colors_in, 0, min(q0 ** (d0 + 1), _INT64_SAFE))
+        part_arr = _int_array(parts_in)
+        if colors is None or part_arr is None:
+            return None
+        group = None if (part_arr == part_arr[0]).all() else part_arr
+
+        metered = network.policy.mode is not BandwidthMode.UNBOUNDED
+        color_base = bit_size((_LINIAL_COLOR,)) + 2 * 2
+        relay_head = bit_size((_LINIAL_RELAY,))
+        part_bits = arrays.int_bits_array(part_arr)
+        layouts = {}
+        for i, (d, q) in enumerate(steps):
+            if int(colors.max()) >= q ** (d + 1):
+                return None
+            total_messages += n
+            color_bits = arrays.int_bits_array(colors)
+            if metered:
+                pb = color_base + color_bits + part_bits
+                total_bits += int(pb.sum())
+                max_message_bits = max(max_message_bits, int(pb.max()))
+            if relay:
+                layout = layouts.get(packing[i])
+                if layout is None:
+                    layout = layouts[packing[i]] = _Relay(
+                        network, csr, *packing[i], group=group
+                    )
+                if not layout.fits:
+                    return None
+                total_messages += sum(layout.messages)
+                if metered:
+                    bits, biggest = layout.meter(2 + color_bits, relay_head)
+                    total_bits += sum(bits)
+                    max_message_bits = max(max_message_bits, *biggest, 0)
+                indptr, indices = csr.g2_indptr, csr.g2_indices
+            else:
+                indptr, indices = csr.g_indptr, csr.g_indices
+            colors = _linial_recolor(indptr, indices, colors, group, d, q)
+            if colors is None:
+                return None
+        if metered and max_message_bits > network._budget:
+            return None  # replay the violation exactly via fastpath
+        final = colors.tolist()
+
+    network.outputs.update(zip(order, final))
+
+    def writeback(programs):
+        for node, c in zip(order, final):
+            programs[node].color = c
+
+    if network.materialized:
+        writeback(network._programs)
+    else:
+        network._deferred_state.append(writeback)
+        network._vector_tables["color"] = lambda: dict(zip(order, final))
+    return _finish(
+        network, total_rounds, total_messages, total_bits,
+        max_message_bits, total_rounds + 1, False, False, max_rounds,
+        raise_on_timeout, halted=True,
+    )
+
+
+# ----------------------------------------------------------------------
+# color reduction (Theorem B.2): color broadcast + packed gather, then
+# phases in which the strict G² maxima above the target recolor
+
+
+def _d2_multisets(csr, order, colors):
+    """Closure building each node's ``d2_colors`` Counter: neighbor
+    colors once per adjacency plus once per 2-path, as the setup
+    gather and the recolor announcements maintain it."""
+    g_indptr, g_indices = csr.g_indptr, csr.g_indices
+
+    def table(i):
+        row = g_indices[g_indptr[i]:g_indptr[i + 1]]
+        counts = Counter(colors[row].tolist())
+        for w in row.tolist():
+            far = g_indices[g_indptr[w]:g_indptr[w + 1]]
+            counts.update(colors[far[far != i]].tolist())
+        return counts
+
+    return table
+
+
+@register_kernel(ColorReductionProgram, specs=("deterministic-d2",))
+def _color_reduction_kernel(
+    network, *, max_rounds, stop_when, raise_on_timeout
+):
+    """Vectorized :class:`ColorReductionProgram`.
+
+    The programs' d2 multisets always equal the current G² colors, so
+    a phase recolors exactly the nodes whose color is >= the target
+    and above every G² neighbor's, each to the smallest color free in
+    its G² row.  A phase that recolors nobody leaves every later phase
+    idle too, so the rest of the schedule is counted (two silent rounds
+    each) without being stepped.  Declines on stop monitors, round caps
+    inside the schedule, preseeded multisets, gathers the packing would
+    truncate, and metered payloads over the budget.
+    """
+    if stop_when is not None:
+        return None
+    plan = network.plan()
+    csr = plan.csr
+    if csr.has_selfloops:
+        return None
+    n = csr.n
+    order = csr.order
+
+    keys = ("target", "phases", "gather_rounds", "per_message")
+    if network.materialized:
+        records = [network.programs[v] for v in order]
+        if any(p.d2_colors or p.recolored_in_phase is not None
+               for p in records):
+            return None  # not a fresh run
+        colors_in = [p.color for p in records]
+    else:
+        records = [plan.input_for(v) for v in order]
+        colors_in = [data.get("color_in") for data in records]
+    config = _shared(records, keys)
+    if config is None or not all(_is_int(x) for x in config):
+        return None
+    target, phases, gather_rounds, per_message = config
+    phases = max(phases, 0)
+    gather_rounds = max(gather_rounds, 0)
+    colors = _int_array(colors_in)
+    if per_message < 1 or colors is None:
+        return None
+    if not (_is_int(order[0]) and _is_int(order[-1])):
+        return None  # labels ride in the recolor payload
+    total_rounds = 1 + gather_rounds + 2 * phases
+    if total_rounds >= max_rounds:
+        return None  # the cap lands inside the schedule
+    layout = _Relay(network, csr, per_message, gather_rounds)
+    if not layout.fits:
+        return None
+
+    metered = network.policy.mode is not BandwidthMode.UNBOUNDED
+    total_messages = n + sum(layout.messages)
+    total_bits = max_message_bits = 0
+    if metered:
+        color_bits = arrays.int_bits_array(colors)
+        pb = bit_size((_CR_COLOR,)) + 2 + color_bits
+        bits, biggest = layout.meter(2 + color_bits, bit_size((_CR_GATHER,)))
+        total_bits = int(pb.sum()) + sum(bits)
+        max_message_bits = max([int(pb.max()), *biggest])
+    recolor_head = bit_size((_CR_RECOLOR,)) + 3 * 2
+
+    g2_indptr, g2_indices = csr.g2_indptr, csr.g2_indices
+    d2_deg = csr.d2_degrees
+    labels = np.asarray(order, dtype=np.int64)
+    recolored = np.full(n, -1, dtype=np.int64)
+    neg = np.int64(-_INT64_SAFE)
+    for phase in range(phases):
+        top = arrays.row_max(colors[g2_indices], g2_indptr, neg)
+        idx = np.flatnonzero((colors >= target) & (colors > top))
+        if idx.size == 0:
+            break  # nobody changes color again: the rest is idle
+        width = min(target, int(d2_deg[idx].max()) + 1)
+        used = _used_colors(
+            g2_indptr, g2_indices, idx, colors,
+            np.ones(n, dtype=bool), width,
+        )
+        free = ~used
+        if not free.any(axis=1).all():
+            return None  # _smallest_free raises
+        new = free.argmax(axis=1)
+        # One (X, me, old, new) broadcast per recoloring node, then one
+        # same-size forward broadcast per neighbor.
+        senders = 1 + csr.degrees[idx]
+        total_messages += int(senders.sum())
+        if metered:
+            pb = recolor_head + (
+                arrays.int_bits_array(labels[idx])
+                + arrays.int_bits_array(colors[idx])
+                + arrays.int_bits_array(new)
+            )
+            total_bits += int((senders * pb).sum())
+            max_message_bits = max(max_message_bits, int(pb.max()))
+        colors[idx] = new
+        recolored[idx] = phase
+    if metered and max_message_bits > network._budget:
+        return None  # replay the violation exactly via fastpath
+
+    final = colors.tolist()
+    network.outputs.update(zip(order, final))
+    d2_tables = _d2_multisets(csr, order, colors)
+
+    def writeback(programs):
+        for i, node in enumerate(order):
+            program = programs[node]
+            program.color = final[i]
+            program.d2_colors = d2_tables(i)
+            if recolored[i] >= 0:
+                program.recolored_in_phase = int(recolored[i])
+
+    if network.materialized:
+        writeback(network._programs)
+    else:
+        network._deferred_state.append(writeback)
+        network._vector_tables["color"] = lambda: dict(zip(order, final))
+    return _finish(
+        network, total_rounds, total_messages, total_bits,
+        max_message_bits, total_rounds + 1, False, False, max_rounds,
+        raise_on_timeout, halted=True,
+    )
+
+
+# ----------------------------------------------------------------------
+# the naive G² simulation baseline: phases of a status round, packed
+# relay rounds and a resolve round, until all_colored stops the run
+
+
+@register_kernel(NaiveProgram, specs=("naive-g2",))
+def _naive_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
+    """Vectorized :class:`NaiveProgram`.
+
+    In phase t a live node proposes ``choice(free)`` on its own stream,
+    where ``free`` excludes the colors its G-neighbors adopted through
+    phase t-1 and the G² colors it saw in the statuses of phase t-1;
+    it adopts when no G² neighbor showed that color or proposed it in
+    phase t.  Only runs monitored by ``all_colored`` are replayed (the
+    program never halts); declines on preseeded tables, non-uniform
+    config, relays the packing would truncate, and metered budgets the
+    worst-case payload could exceed.
+    """
+    if stop_when is not all_colored:
+        return None
+    plan = network.plan()
+    csr = plan.csr
+    if csr.has_selfloops:
+        return None
+    n = csr.n
+    order = csr.order
+
+    if network.materialized:
+        programs = [network.programs[v] for v in order]
+        if any(p.known_used or p.nbr_colors for p in programs):
+            return None  # not a fresh run
+        colors_in = [p.color for p in programs]
+        head = _shared(programs, ("palette", "relay_rounds"))
+        tail = _shared([p.ctx.data for p in programs], ("per_message",))
+        config = head + tail if head and tail else None
+        rngs = [p.ctx.rng for p in programs]
+        draw_one = lambda i, bound: rngs[i].randrange(bound)  # noqa: E731
+    else:
+        inputs = [plan.input_for(v) for v in order]
+        colors_in = [data.get("color") for data in inputs]
+        config = _shared(inputs, ("palette", "relay_rounds", "per_message"))
+        draw_one = plan.lazy_draws().randrange
+    if config is None or not all(_is_int(x) for x in config):
+        return None
+    palette, relay_rounds, per_message = config
+    if palette < 1 or relay_rounds < 0 or per_message < 1:
+        return None
+    if not all(c is None or _is_int(c, 0) for c in colors_in):
+        return None  # -1 marks "uncolored" below
+    layout = _Relay(network, csr, per_message, relay_rounds)
+    if not layout.fits:
+        return None
+    colors = np.array(
+        [-1 if c is None else c for c in colors_in], dtype=np.int64
+    )
+
+    metered = network.policy.mode is not BandwidthMode.UNBOUNDED
+    status_base = bit_size((_NAIVE_STATUS, _LIVE, 0)) - 1
+    result_base = bit_size((_NAIVE_RESULT, False, 0)) - 1
+    relay_head = bit_size((_NAIVE_RELAY,))
+    # A relayed status costs (2 + 1) for the kind plus 2 + bits(value).
+    relay_item = 2 + int_bits(_LIVE) + 2
+    if metered:
+        worst = int_bits(max(palette - 1, int(colors.max())))
+        longest = min(per_message, int(csr.degrees.max()) - 1)
+        worst_message = max(
+            status_base + worst,
+            result_base + worst,
+            relay_head + max(longest, 0) * (relay_item + worst),
+        )
+        if worst_message > network._budget:
+            return None  # could violate: replay exactly via fastpath
+
+    deg = csr.degrees
+    g_indptr, g_indices = csr.g_indptr, csr.g_indices
+    g2_indptr, g2_indices = csr.g2_indptr, csr.g2_indices
+    d2_deg = csr.d2_degrees
+    # Phase in which each node adopted; precolored nodes count as
+    # colored before phase 0, live ones as never.
+    never = np.int64(_INT64_SAFE)
+    adopt_phase = np.where(colors >= 0, -1, never)
+    cand = np.full(n, -1, dtype=np.int64)
+    period = relay_rounds + 2
+    total_messages = total_bits = max_message_bits = 0
+
+    def send(counts, pb):
+        nonlocal total_bits, max_message_bits
+        if metered:
+            total_bits += int((counts * pb).sum())
+            if (counts > 0).any():
+                max_message_bits = max(
+                    max_message_bits, int(pb[counts > 0].max())
+                )
+
+    stopped = timed_out = False
+    r = 0
+    while True:
+        if not (colors < 0).any():
+            stopped = True
+            break
+        if r >= max_rounds:
+            timed_out = True
+            break
+        t, k = divmod(r, period)
+        if k == 0:
+            live = np.flatnonzero(colors < 0)
+            seen = adopt_phase < t - 1  # in known_used
+            adopted = (adopt_phase >= 0) & (adopt_phase <= t - 1)
+            cand.fill(-1)
+            for rows in _row_blocks(g2_indptr, live, palette):
+                used = _used_colors(
+                    g2_indptr, g2_indices, rows, colors, seen, palette
+                ) | _used_colors(
+                    g_indptr, g_indices, rows, colors, adopted, palette
+                )
+                free = ~used
+                nfree = palette - used.sum(axis=1)
+                draws = np.array(
+                    [
+                        draw_one(i, b)
+                        for i, b in zip(
+                            rows.tolist(),
+                            np.where(nfree > 0, nfree, palette).tolist(),
+                        )
+                    ],
+                    dtype=np.int64,
+                )
+                kth = (np.cumsum(free, axis=1) > draws[:, None]).argmax(
+                    axis=1
+                )
+                cand[rows] = np.where(nfree > 0, kth, draws)
+            status = np.where(colors >= 0, colors, cand)
+            total_messages += int(deg.sum())
+            send(deg, status_base + arrays.int_bits_array(status))
+        elif k <= relay_rounds:
+            total_messages += layout.messages[k - 1]
+            if metered:
+                if k == 1:
+                    relay_bits = layout.meter(
+                        relay_item + arrays.int_bits_array(status),
+                        relay_head,
+                    )
+                total_bits += relay_bits[0][k - 1]
+                max_message_bits = max(
+                    max_message_bits, relay_bits[1][k - 1]
+                )
+        else:
+            own = np.repeat(cand, d2_deg)
+            nbr_color = colors[g2_indices]
+            conflict = arrays.row_any(
+                (own >= 0)
+                & ((cand[g2_indices] == own) | (nbr_color == own)),
+                g2_indptr,
+            )
+            win = (cand >= 0) & ~conflict
+            total_messages += int(deg.sum())
+            send(deg, result_base + arrays.int_bits_array(
+                np.where(win, cand, 0)
+            ))
+            colors[win] = cand[win]
+            adopt_phase[win] = t
+        r += 1
+
+    # Program state after r resumes: known_used holds the G² colors
+    # seen up to the last resolved phase; a phase-s adoption reaches
+    # the neighbors' nbr_colors at the first resume of phase s + 1.
+    resolved = r // period
+    final = colors.tolist()
+
+    def writeback(programs):
+        known = (adopt_phase <= resolved - 2).tolist()
+        told = (
+            (adopt_phase >= 0) & (adopt_phase <= (r - 1) // period - 1)
+        ).tolist()
+        for i, node in enumerate(order):
+            program = programs[node]
+            program.color = final[i] if final[i] >= 0 else None
+            far = g2_indices[g2_indptr[i]:g2_indptr[i + 1]].tolist()
+            program.known_used = {final[j] for j in far if known[j]}
+            near = g_indices[g_indptr[i]:g_indptr[i + 1]].tolist()
+            program.nbr_colors = {
+                order[j]: final[j] for j in near if told[j]
+            }
+
+    if network.materialized:
+        writeback(network._programs)
+    else:
+        network._deferred_state.append(writeback)
+        network._vector_tables["color"] = _color_table(order, colors)
+    return _finish(
+        network, r, total_messages, total_bits, max_message_bits, r,
+        stopped, timed_out, max_rounds, raise_on_timeout,
     )
 
 

@@ -8,7 +8,6 @@ from repro.congest.node import NodeContext, NodeProgram
 from repro.core.trying import (
     TryPhaseMixin,
     all_colored,
-    coloring_from_programs,
     iter_messages,
     multiplex,
 )
@@ -132,12 +131,6 @@ class TestMessageHelpers:
 
 
 class TestHelpers:
-    def test_coloring_from_programs(self):
-        graph = nx.path_graph(2)
-        net = run_script(graph, {0: [1], 1: [2]})
-        coloring = coloring_from_programs(net.programs)
-        assert coloring == {0: 1, 1: 2}
-
     def test_all_colored_monitor(self):
         graph = nx.path_graph(2)
         net = run_script(graph, {0: [1], 1: [2]})

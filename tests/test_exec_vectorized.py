@@ -9,18 +9,22 @@ adjacency artifact the kernels consume.
 """
 
 import pickle
+import random
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.baselines.luby import (
     LubyDistanceKProgram,
     _all_decided,
     check_distance_k_mis,
     luby_distance_k_mis,
 )
+from repro.baselines.naive import NaiveProgram, naive_congest_d2_color
 from repro.baselines.trial import TrialProgram, trial_d2_color
+from repro.conformance.scenarios import build_corpus
 from repro.congest.errors import (
     BandwidthExceededError,
     NonterminationError,
@@ -30,7 +34,17 @@ from repro.congest.network import Network
 from repro.congest.policy import BandwidthPolicy
 from repro.core.d2color import basic_d2_color, improved_d2_color
 from repro.core.trying import all_colored
+from repro.det.color_reduction import (
+    ColorReductionProgram,
+    color_reduction_d2,
+)
 from repro.det.g_coloring import prime_between
+from repro.det.linial import (
+    LinialProgram,
+    linial_d2_coloring,
+    linial_g_coloring,
+    linial_schedule,
+)
 from repro.det.locally_iterative import LocallyIterativeProgram
 from repro.det.part_d2coloring import PartLocallyIterativeD2
 from repro.exec import use_backend
@@ -43,6 +57,12 @@ from repro.exec.arrays import (
     row_max,
 )
 from repro.exec.vectorized import kernel_coverage
+from repro.obs.trace import (
+    NullRecorder,
+    TraceRecorder,
+    read_trace,
+    use_recorder,
+)
 from repro.workloads.cache import InstanceCache
 
 
@@ -149,8 +169,30 @@ class TestKernelCoverage:
             "eps-d2-coloring",
             "improved-d2color",
             "basic-d2color",
+            "naive-g2",
         ):
             assert spec_name in coverage, spec_name
+
+    def test_spec_lists_every_kernel_it_runs(self):
+        # One spec may run several kernels (deterministic-d2 runs all
+        # three stages of Theorem 1.2 as kernels); registering another
+        # stage must add to its entry, not overwrite it.
+        coverage = kernel_coverage()
+        assert set(coverage["deterministic-d2"]) == {
+            "_linial_kernel",
+            "_locally_iterative_kernel",
+            "_color_reduction_kernel",
+        }
+        assert set(coverage["eps-d2-coloring"]) == {
+            "_linial_kernel",
+            "_part_locally_iterative_kernel",
+        }
+        assert coverage["naive-g2"] == ("_naive_kernel",)
+        kernels = {
+            name for name in coverage.values() if isinstance(name, str)
+        }
+        for spec in registry.ALGORITHMS:
+            assert set(coverage.get(spec.name, ())) <= kernels
 
 
 class TestTrialKernel:
@@ -583,6 +625,567 @@ class TestFallbacks:
         assert len(result.metrics.per_round) == result.metrics.rounds
 
 
+# ----------------------------------------------------------------------
+# the deterministic front half (Linial, color reduction) and the naive
+# G² flood
+
+
+_CORPUS = {scenario.name: scenario for scenario in build_corpus()}
+_FRONT_CORPUS = [
+    "path16", "star13", "singleton", "edgeless8", "petersen", "gnp24",
+    "cliques3x4", "disconnected-mix", "powerlaw24", "relay3x4",
+]
+_MODES = {
+    "strict": BandwidthPolicy.strict(),
+    "track": BandwidthPolicy.track(),
+    "unbounded": BandwidthPolicy.unbounded(),
+}
+_BIG = 10**5
+
+
+class _FallbackLog(NullRecorder):
+    """A recorder that keeps the cause of every ``exec.fallback``."""
+
+    def __init__(self):
+        self.causes = []
+
+    def event(self, name, attrs=None):
+        if name == "exec.fallback":
+            self.causes.append(attrs["cause"])
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except Exception as error:  # compared across engines below
+        return None, error
+
+
+def _assert_driver_parity(run, mode, fallbacks=()):
+    """``run()`` (a driver call) under vectorized matches reference —
+    and fastpath on metrics under UNBOUNDED, where neither sizes
+    messages; the vectorized run's fallback causes are ``fallbacks``.
+    Returns the reference result."""
+    with use_backend("reference"):
+        ref, ref_error = _outcome(run)
+    log = _FallbackLog()
+    with use_backend("vectorized"), use_recorder(log):
+        vec, vec_error = _outcome(run)
+    assert log.causes == list(fallbacks)
+    if ref_error is not None:
+        assert type(vec_error) is type(ref_error)
+        assert str(vec_error) == str(ref_error)
+        return None
+    assert vec_error is None, vec_error
+    metric_ref = ref
+    if mode == "unbounded":
+        with use_backend("fastpath"):
+            metric_ref = run()
+    assert vec.coloring == ref.coloring
+    assert vec.rounds == ref.rounds
+    assert vec.metrics.total_messages == ref.metrics.total_messages
+    assert _metrics_tuple(vec.metrics) == _metrics_tuple(
+        metric_ref.metrics
+    )
+    return ref
+
+
+def _big_ids(graph, seed):
+    """Distinct input colors from a large palette, so that Linial's
+    schedule is not empty even on tiny graphs."""
+    nodes = sorted(graph.nodes)
+    return dict(
+        zip(nodes, random.Random(seed).sample(range(_BIG), len(nodes)))
+    )
+
+
+def _relabeled(graph, seed):
+    """The same graph with non-index labels (negative, sparse) added
+    in shuffled order, so inbox order differs from label order."""
+    nodes = list(graph.nodes)
+    random.Random(seed).shuffle(nodes)
+    label = {v: (-1) ** v * (1000 + 7 * v) for v in nodes}
+    out = nx.Graph()
+    out.add_nodes_from(label[v] for v in nodes)
+    edges = list(graph.edges)
+    random.Random(seed + 1).shuffle(edges)
+    out.add_edges_from((label[u], label[v]) for u, v in edges)
+    return out
+
+
+def _delta(graph):
+    return max((d for _, d in graph.degree), default=0)
+
+
+def _tight(mode, bits):
+    return BandwidthPolicy(_MODES[mode].mode, beta=1, min_bits=bits)
+
+
+def _cr_input(graph, seed):
+    """A valid (distinct-color) d2-coloring from a palette 2n above
+    the Δ²+1 target."""
+    nodes = sorted(graph.nodes)
+    palette = _delta(graph) ** 2 + 1 + 2 * len(nodes)
+    colors = random.Random(seed).sample(range(palette), len(nodes))
+    return dict(zip(nodes, colors)), palette
+
+
+class TestLinialKernel:
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", _FRONT_CORPUS)
+    @pytest.mark.parametrize(
+        "coloring",
+        [linial_d2_coloring, linial_g_coloring],
+        ids=["g2", "g"],
+    )
+    def test_parity(self, coloring, name, seed, mode):
+        graph = _CORPUS[name].graph(seed)
+        ids = _big_ids(graph, seed)
+        ref = _assert_driver_parity(
+            lambda: coloring(
+                graph, policy=_MODES[mode], color_in=ids, palette_in=_BIG
+            ),
+            mode,
+        )
+        assert ref.params["iterations"] >= 1
+
+    def test_ids_as_input_colors(self):
+        graph = nx.random_regular_graph(3, 400, seed=2)
+        ref = _assert_driver_parity(
+            lambda: linial_d2_coloring(graph), "track"
+        )
+        assert ref.params["iterations"] >= 1
+
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_tight_budget_multi_chunk_relay(self, mode, seed):
+        # 62 bits hold two 17-bit colors per relay message, so every
+        # list of a degree-7 node spans several rounds and the chunk
+        # cut follows the (shuffled) inbox order.
+        graph = _relabeled(_CORPUS["gnp24"].graph(seed), seed)
+        ids = _big_ids(graph, seed)
+        ref = _assert_driver_parity(
+            lambda: linial_d2_coloring(
+                graph, policy=_tight(mode, 62), color_in=ids,
+                palette_in=_BIG,
+            ),
+            mode,
+        )
+        assert ref.metrics.rounds > 2 * ref.params["iterations"]
+
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    @pytest.mark.parametrize(
+        "coloring",
+        [linial_d2_coloring, linial_g_coloring],
+        ids=["g2", "g"],
+    )
+    def test_per_part(self, coloring, mode):
+        graph = _relabeled(_CORPUS["powerlaw24"].graph(4), 4)
+        parts = {v: i % 3 for i, v in enumerate(sorted(graph.nodes))}
+        delta = _delta(graph)
+        conflict = delta * delta if coloring is linial_d2_coloring else delta
+        ids = _big_ids(graph, 4)
+        for policy in (_MODES[mode], _tight(mode, 62)):
+            _assert_driver_parity(
+                lambda: coloring(
+                    graph, policy=policy, color_in=ids, palette_in=_BIG,
+                    parts=parts, conflict_degree=conflict,
+                ),
+                mode,
+            )
+
+    def test_first_free_point_past_the_first_window(self):
+        # Palette 10⁴ at D = 10 gives one step with d = 2, q = 23.  Leaf
+        # i's polynomial differs from the center's by (i + 1)·(x - i),
+        # so the two agree exactly at x = i and the center's first free
+        # point is x = 10.
+        q = 23
+        graph = nx.star_graph(10)
+        a0, a1, a2 = 5, 7, 3
+        colors = {0: a0 + a1 * q + a2 * q * q}
+        for i in range(10):
+            c1 = (a1 + 1 + i) % q
+            c0 = (a0 + a1 * i - c1 * i) % q
+            colors[i + 1] = c0 + c1 * q + a2 * q * q
+        ref = _assert_driver_parity(
+            lambda: linial_g_coloring(
+                graph, color_in=colors, palette_in=10_000
+            ),
+            "track",
+        )
+        assert ref.params["schedule"] == [(2, q, q * q)]
+        assert ref.coloring[0] // q == 10
+
+    def test_program_state_after_later_access(self):
+        graph = _relabeled(_CORPUS["gnp24"].graph(1), 1)
+        ids = _big_ids(graph, 1)
+
+        def make():
+            schedule = linial_schedule(_BIG, _delta(graph) ** 2)
+            inputs = {
+                v: {
+                    "schedule": schedule,
+                    "relay": True,
+                    "relay_rounds": [1] * len(schedule),
+                    "per_message": [64] * len(schedule),
+                    "color_in": ids[v],
+                }
+                for v in graph.nodes
+            }
+            return Network(
+                graph, LinialProgram, policy=BandwidthPolicy.track(),
+                inputs=inputs,
+            )
+
+        (ref_net, ref), (vec_net, vec) = _run_pair(make)
+        assert not vec_net.materialized
+        assert vec.outputs == ref.outputs
+        assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
+        for node in ref_net.programs:
+            assert vec_net.programs[node].color == ref_net.programs[node].color
+
+
+class TestColorReductionKernel:
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", _FRONT_CORPUS)
+    def test_parity(self, name, seed, mode):
+        graph = _CORPUS[name].graph(seed)
+        colors, palette = _cr_input(graph, seed)
+        _assert_driver_parity(
+            lambda: color_reduction_d2(
+                graph, colors, palette, policy=_MODES[mode]
+            ),
+            mode,
+        )
+
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_tight_budget_and_labels(self, mode, seed):
+        # Non-index labels ride in every recolor payload; 44 bits hold
+        # two 7-bit colors per gather message, so a degree-7 relay
+        # list spans several rounds.
+        graph = _relabeled(_CORPUS["gnp24"].graph(seed), seed)
+        colors, palette = _cr_input(graph, seed)
+        ref = _assert_driver_parity(
+            lambda: color_reduction_d2(
+                graph, colors, palette, policy=_tight(mode, 44)
+            ),
+            mode,
+        )
+        assert ref.params["gather_rounds"] > 1
+
+    def test_program_state_after_later_access(self):
+        graph = _relabeled(_CORPUS["cliques3x4"].graph(0), 0)
+        colors, palette = _cr_input(graph, 0)
+        delta = _delta(graph)
+
+        def make():
+            target = delta * delta + 1
+            inputs = {
+                v: {
+                    "color_in": colors[v],
+                    "target": target,
+                    "phases": palette - target,
+                    "gather_rounds": 2,
+                    "per_message": 3,
+                }
+                for v in graph.nodes
+            }
+            return Network(
+                graph, ColorReductionProgram,
+                policy=BandwidthPolicy.track(), inputs=inputs,
+            )
+
+        (ref_net, ref), (vec_net, vec) = _run_pair(make)
+        assert not vec_net.materialized
+        assert vec.outputs == ref.outputs
+        assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
+        for node in ref_net.programs:
+            rp, vp = ref_net.programs[node], vec_net.programs[node]
+            assert vp.color == rp.color, node
+            assert vp.d2_colors == rp.d2_colors, node
+            assert vp.recolored_in_phase == rp.recolored_in_phase, node
+
+
+def _naive_network(graph, seed, policy=None, palette=None, colors=None):
+    delta = _delta(graph)
+    payload = {
+        "palette": palette or delta * delta + 1,
+        "relay_rounds": 2,
+        "per_message": max(1, -(-delta // 2)),
+    }
+    inputs = {v: dict(payload) for v in graph.nodes}
+    for v, c in (colors or {}).items():
+        inputs[v]["color"] = c
+    return Network(
+        graph, NaiveProgram, seed=seed, policy=policy, inputs=inputs
+    )
+
+
+class TestNaiveKernel:
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", _FRONT_CORPUS)
+    def test_parity(self, name, seed, mode):
+        graph = _CORPUS[name].graph(seed)
+        _assert_driver_parity(
+            lambda: naive_congest_d2_color(
+                graph, seed=seed, policy=_MODES[mode]
+            ),
+            mode,
+        )
+
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_tight_budget_and_labels(self, mode, seed):
+        # 48 bits hold two relayed statuses per message on a degree-7
+        # graph: several relay rounds per phase, cut in inbox order.
+        graph = _relabeled(_CORPUS["gnp24"].graph(seed), seed)
+        ref = _assert_driver_parity(
+            lambda: naive_congest_d2_color(
+                graph, seed=seed, policy=_tight(mode, 48)
+            ),
+            mode,
+        )
+        assert ref.params["relay_rounds_per_phase"] > 1
+
+    @pytest.mark.parametrize("max_rounds", list(range(13)) + [40])
+    def test_round_cutoff_program_state(self, max_rounds):
+        # Cutoffs land on every round of the first phases: colors,
+        # known_used and nbr_colors must be what the aborted
+        # generators hold.
+        graph = _relabeled(_CORPUS["powerlaw24"].graph(2), 2)
+        colors = {v: 3 for v in sorted(graph.nodes)[:1]}
+        _assert_naive_state(
+            lambda: _naive_network(
+                graph, 7, BandwidthPolicy.track(), colors=colors
+            ),
+            max_rounds=max_rounds,
+            stop_when=all_colored,
+            raise_on_timeout=False,
+        )
+
+    def test_exhausted_palette_draws_from_whole_palette(self):
+        # Palette 2 on a triangle-rich graph: some live node sees no
+        # free color and proposes randrange(palette) instead.
+        _assert_naive_state(
+            lambda: _naive_network(
+                _CORPUS["cliques3x4"].graph(0), 3,
+                BandwidthPolicy.track(), palette=2,
+            ),
+            max_rounds=60,
+            stop_when=all_colored,
+            raise_on_timeout=False,
+        )
+
+    def test_nontermination_raise_parity(self):
+        for backend in ("reference", "vectorized"):
+            with pytest.raises(NonterminationError):
+                _naive_network(GRAPHS["petersen"], 5).run(
+                    backend=backend,
+                    max_rounds=4,
+                    stop_when=all_colored,
+                    raise_on_timeout=True,
+                )
+
+
+def _assert_naive_state(make_network, **run_kwargs):
+    (ref_net, ref), (vec_net, vec) = _run_pair(make_network, **run_kwargs)
+    assert not vec_net.materialized
+    assert vec_net.node_colors() == ref_net.node_colors()
+    assert vec.stopped_early == ref.stopped_early
+    assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
+    for node in ref_net.programs:
+        rp, vp = ref_net.programs[node], vec_net.programs[node]
+        assert vp.color == rp.color, node
+        assert vp.known_used == rp.known_used, node
+        assert vp.nbr_colors == rp.nbr_colors, node
+    assert vec_net._started == ref_net._started
+
+
+class TestFrontHalfDeclines:
+    """Runs the three kernels cannot replay exactly fall back to
+    fastpath and still match reference, errors included."""
+
+    def test_selfloops(self):
+        graph = nx.cycle_graph(6)
+        graph.add_edge(2, 2)
+        ids = _big_ids(graph, 0)
+        colors, palette = _cr_input(graph, 0)
+        for run in (
+            lambda: linial_d2_coloring(
+                graph, color_in=ids, palette_in=_BIG
+            ),
+            lambda: color_reduction_d2(graph, colors, palette),
+        ):
+            _assert_driver_parity(run, "track", ["kernel-declined"])
+        # The looped node hears its own proposal and never adopts.
+        (ref_net, ref), (vec_net, vec) = _run_pair(
+            lambda: _naive_network(graph, 1, BandwidthPolicy.track()),
+            max_rounds=30,
+            stop_when=all_colored,
+            raise_on_timeout=False,
+        )
+        assert vec_net.materialized
+        assert vec_net.node_colors() == ref_net.node_colors()
+        assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
+
+    def test_values_outside_int64(self):
+        graph = _CORPUS["petersen"].graph(0)
+        nodes = sorted(graph.nodes)
+        huge = 2**63
+        ids = {v: huge + i for i, v in enumerate(nodes)}
+        _assert_driver_parity(
+            lambda: linial_d2_coloring(
+                graph, color_in=ids, palette_in=2 * huge
+            ),
+            "track",
+            ["kernel-declined"],
+        )
+        _assert_driver_parity(
+            lambda: color_reduction_d2(
+                graph, ids, huge + len(nodes), target=huge
+            ),
+            "track",
+            ["kernel-declined"],
+        )
+        (ref_net, ref), (vec_net, vec) = _run_pair(
+            lambda: _naive_network(graph, 2, colors={nodes[0]: huge}),
+            max_rounds=200,
+            stop_when=all_colored,
+            raise_on_timeout=False,
+        )
+        assert vec_net.materialized  # declined: fastpath built nodes
+        assert vec_net.node_colors() == ref_net.node_colors()
+        assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
+
+    def test_non_uniform_config(self):
+        graph = _CORPUS["gnp24"].graph(0)
+        odd = sorted(graph.nodes)[3]
+        colors, palette = _cr_input(graph, 0)
+        target = _delta(graph) ** 2 + 1
+
+        def reduction():
+            inputs = {
+                v: {
+                    "color_in": colors[v],
+                    "target": target,
+                    "phases": palette - target - (v == odd),
+                    "gather_rounds": 1,
+                    "per_message": 64,
+                }
+                for v in graph.nodes
+            }
+            return Network(graph, ColorReductionProgram, inputs=inputs)
+
+        def naive():
+            net = _naive_network(graph, 4)
+            net._inputs[odd]["palette"] += 1
+            return net
+
+        for make, kwargs in (
+            (reduction, {}),
+            (naive, {"max_rounds": 300, "stop_when": all_colored,
+                     "raise_on_timeout": False}),
+        ):
+            (ref_net, ref), (vec_net, vec) = _run_pair(make, **kwargs)
+            assert vec_net.materialized
+            assert vec_net.node_colors() == ref_net.node_colors()
+            assert _metrics_tuple(vec.metrics) == _metrics_tuple(
+                ref.metrics
+            )
+
+    @pytest.mark.parametrize("mode", ["strict", "track"])
+    def test_budget_a_payload_exceeds(self, mode):
+        # STRICT must raise the reference's error (same sender,
+        # receiver and size, so the same round); TRACK must count the
+        # same violations.
+        graph = _CORPUS["gnp24"].graph(1)
+        ids = _big_ids(graph, 1)
+        colors, palette = _cr_input(graph, 1)
+        policy = _tight(mode, 18)
+        for run in (
+            lambda: linial_d2_coloring(
+                graph, policy=policy, color_in=ids, palette_in=_BIG
+            ),
+            lambda: color_reduction_d2(
+                graph, colors, palette, policy=policy
+            ),
+            lambda: naive_congest_d2_color(graph, seed=1, policy=policy),
+        ):
+            ref = _assert_driver_parity(run, mode, ["kernel-declined"])
+            if mode == "track":
+                assert ref.metrics.violations > 0
+
+    def test_round_cap_inside_schedule(self):
+        graph = _CORPUS["petersen"].graph(0)
+        colors, palette = _cr_input(graph, 0)
+        target = _delta(graph) ** 2 + 1
+        for backend in ("reference", "vectorized"):
+            inputs = {
+                v: {
+                    "color_in": colors[v],
+                    "target": target,
+                    "phases": palette - target,
+                    "gather_rounds": 1,
+                    "per_message": 64,
+                }
+                for v in graph.nodes
+            }
+            net = Network(graph, ColorReductionProgram, inputs=inputs)
+            with pytest.raises(NonterminationError):
+                net.run(backend=backend, max_rounds=9)
+
+    def test_naive_without_stop_monitor(self):
+        (ref_net, ref), (vec_net, vec) = _run_pair(
+            lambda: _naive_network(GRAPHS["petersen"], 1),
+            max_rounds=20,
+            stop_when=None,
+            raise_on_timeout=False,
+        )
+        assert vec_net.materialized
+        assert vec_net.node_colors() == ref_net.node_colors()
+        assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
+
+
+@pytest.mark.parametrize(
+    "spec_name, kernels",
+    [
+        (
+            "deterministic-d2",
+            {
+                "_linial_kernel",
+                "_locally_iterative_kernel",
+                "_color_reduction_kernel",
+            },
+        ),
+        ("naive-g2", {"_naive_kernel"}),
+    ],
+)
+def test_traced_run_never_falls_back(tmp_path, spec_name, kernels):
+    # Mid-size graph whose Linial schedule is not empty (n = 400 is
+    # above the first fixed point 19² at D = Δ² = 9).
+    graph = nx.random_regular_graph(3, 400, seed=3)
+    assert linial_schedule(400, 9)
+    path = str(tmp_path / "trace.jsonl")
+    rec = TraceRecorder(path)
+    with use_recorder(rec):
+        registry.get_algorithm(spec_name).run(
+            graph, seed=1, backend="vectorized"
+        )
+    rec.close()
+    records = read_trace(path)
+    assert [r for r in records if r.get("name") == "exec.fallback"] == []
+    ran = {
+        r["attrs"]["kernel"]
+        for r in records
+        if r.get("name") == "exec.kernel"
+    }
+    assert ran == kernels
+
+
 class TestArrays:
     def test_csr_matches_networkx_neighborhoods(self):
         graph = nx.gnp_random_graph(30, 0.15, seed=2)
@@ -719,7 +1322,6 @@ class TestInstanceCSRArtifact:
 @pytest.mark.slow
 class TestHugeTier:
     def test_vectorized_matches_fastpath_on_huge_gnp(self):
-        from repro import registry
         from repro.workloads import instance_cache
 
         graph = instance_cache().get("gnp-huge-16384", 0).graph()
