@@ -137,8 +137,6 @@ class LazyDraws:
             else:
                 self._bounds[i] = bound
             self._counts[i] = count + 1
-            return rng.randrange(bound)
-        self._counts[i] += 1
         return rng.randrange(bound)
 
     def rng(self, i: int) -> random.Random:
@@ -243,7 +241,11 @@ class NetworkPlan:
         scheme reconstructs each advanced stream exactly).
         """
         if self._rngs is None:
-            if self._lazy is not None:
+            contexts = self.network._contexts
+            if contexts is not None:
+                # Built before this plan: adopt the live streams.
+                self._rngs = [contexts[v].rng for v in self.order]
+            elif self._lazy is not None:
                 self._rngs = [
                     self._lazy.rng(i) for i in range(self.csr.n)
                 ]
@@ -258,10 +260,10 @@ class NetworkPlan:
         :class:`LazyDraws`) — what kernels use instead of
         :meth:`rngs` so an unmaterialized million-node run never
         holds a million ``random.Random`` objects."""
-        if self._rngs is not None:
+        if self._rngs is not None or self.network.materialized:
             # Streams already exist: lazy draws must advance them.
             lazy = LazyDraws(self.rng_seeds())
-            lazy._kept = dict(enumerate(self._rngs))
+            lazy._kept = dict(enumerate(self.rngs()))
             return lazy
         if self._lazy is None:
             self._lazy = LazyDraws(self.rng_seeds())

@@ -146,6 +146,57 @@ class RandomizedD2Program(
             yield from self._final_reduce_forever()
 
 
+#: Each variant's sections in run order, as named in ``phase_log``;
+#: the last one is open-ended and never logged.
+_SECTIONS = {
+    "improved": (
+        "trials", "similarity", "reduce-ladder", "learn-palette",
+        "finish",
+    ),
+    "basic": ("similarity", "trials", "reduce-ladder", "final-reduce"),
+}
+
+
+def randomized_inputs(
+    graph: nx.Graph,
+    variant: str,
+    constants: Constants,
+    policy: BandwidthPolicy,
+    delta: int,
+    force_exact_similarity: Optional[bool] = None,
+    force_learn_handlers: Optional[bool] = None,
+) -> dict:
+    """The input dict every :class:`RandomizedD2Program` node of a
+    d2-Color (``variant="basic"``) or Improved-d2-Color
+    (``"improved"``) run shares."""
+    n = graph.number_of_nodes()
+    palette = delta * delta + 1
+    budget = policy.budget_bits(n)
+    sim_config = SimilarityConfig.derive(
+        n, delta, budget, constants, force_exact_similarity
+    )
+    data = {
+        "constants": constants,
+        "palette": palette,
+        "variant": variant,
+        "sim_config": sim_config,
+        "ladder": constants.ladder(n, delta),
+        "initial_trials": constants.initial_trials(n),
+        "lottery_filter_bits": filter_width(delta, n, constants.c11),
+        "forward_per_round": forward_batch_size(n, palette, budget),
+    }
+    if variant == "improved":
+        force_small = (
+            None
+            if force_learn_handlers is None
+            else not force_learn_handlers
+        )
+        data["learn_config"] = LearnPaletteConfig.derive(
+            n, delta, budget, constants, force_small=force_small
+        )
+    return data
+
+
 def _run_randomized(
     graph: nx.Graph,
     variant: str,
@@ -179,38 +230,17 @@ def _run_randomized(
         result.params["deterministic_fallback"] = True
         return result
 
-    budget = policy.budget_bits(n)
-    sim_config = SimilarityConfig.derive(
-        n, delta, budget, constants, force_exact_similarity
+    data = randomized_inputs(
+        graph, variant, constants, policy, delta,
+        force_exact_similarity, force_learn_handlers,
     )
-    data = {
-        "constants": constants,
-        "palette": palette,
-        "variant": variant,
-        "sim_config": sim_config,
-        "ladder": constants.ladder(n, delta),
-        "initial_trials": constants.initial_trials(n),
-        "lottery_filter_bits": filter_width(delta, n, constants.c11),
-        "forward_per_round": forward_batch_size(n, palette, budget),
-    }
-    if variant == "improved":
-        force_small = (
-            None
-            if force_learn_handlers is None
-            else not force_learn_handlers
-        )
-        data["learn_config"] = LearnPaletteConfig.derive(
-            n, delta, budget, constants, force_small=force_small
-        )
-    inputs = {v: data for v in graph.nodes}
-
     network = Network(
         graph,
         RandomizedD2Program,
         seed=seed,
         policy=policy,
         delta=delta,
-        inputs=inputs,
+        inputs={v: data for v in graph.nodes},
     )
     run = network.run(
         max_rounds=max_rounds,
@@ -229,21 +259,22 @@ def _run_randomized(
             "constants": constants.name,
             "ladder": data["ladder"],
             "initial_trials": data["initial_trials"],
-            "similarity_exact": sim_config.exact,
+            "similarity_exact": data["sim_config"].exact,
         },
     )
-    # Per-phase rounds (identical schedule at every node up to the
-    # open-ended final phase, whose cost is the remainder).
-    sample_program = network.programs[next(iter(network.programs))]
+    # Per-phase rounds (identical schedule at every node).  Sections
+    # log in run order, so the remainder belongs to the section in
+    # progress when the run ended: the first one not yet logged.
+    phase_log = next(iter(network.node_table("phase_log").values()))
     logged = 0
-    for name, rounds in sample_program.phase_log:
+    for name, rounds in phase_log:
         result.phases.append(PhaseResult(name, rounds))
         logged += rounds
-    final_name = (
-        "finish" if variant == "improved" else "final-reduce"
-    )
     result.phases.append(
-        PhaseResult(final_name, max(0, run.metrics.rounds - logged))
+        PhaseResult(
+            _SECTIONS[variant][len(phase_log)],
+            max(0, run.metrics.rounds - logged),
+        )
     )
     return result
 

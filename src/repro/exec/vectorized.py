@@ -21,7 +21,8 @@ at all: end-state is published through ``Network.node_colors()``/
 materializes them.  Hybrid kernels (the randomized d2-color pipeline)
 execute the array-friendly try-phase window as batched numpy work and
 drive the surrounding protocol sections through the resumable
-:class:`~repro.exec.fastpath.GeneratorLoop`.
+:class:`~repro.exec.fastpath.GeneratorLoop`, building the programs only
+when a generator section really has to run.
 
 Coverage is per program class, not per call site:
 
@@ -40,7 +41,8 @@ Coverage is per program class, not per call site:
   ``all_colored`` monitor;
 - :class:`RandomizedD2Program` — the ``c0·log n`` random-trials
   section of ``improved-d2color``/``basic-d2color``; similarity,
-  reduce, learn-palette and finish still run as generators.
+  reduce, learn-palette and finish still run as generators (for
+  ``improved``, only if nodes are still uncolored after the trials).
 
 Everything else — and every run a kernel cannot replay exactly
 (custom ``stop_when`` monitors, ``avoid_known`` candidate selection,
@@ -1552,23 +1554,30 @@ def _randomized_d2_kernel(
     """Hybrid :class:`RandomizedD2Program` executor.
 
     ``improved``: the trials section is a prefix — rounds ``[0, 3T)``
-    run as arrays, then the generators start (their first resume
+    run as arrays off the :class:`NetworkPlan` (lazy per-node draws,
+    no Python nodes).  A run that stops or times out inside that
+    window ends there and publishes its end-state through the
+    ``color``/``phase_log`` node tables plus a deferred program
+    writeback; only a completed window with nodes still uncolored
+    builds the programs and starts the generators (their first resume
     happens at round 3T, exactly where the reference run's generators
-    leave the trials loop).  ``basic``: similarity runs first — its
-    round count is a node-independent constant of the
-    :class:`SimilarityConfig` — so the :class:`GeneratorLoop` pauses
-    at that boundary, the trials window runs as arrays, and the loop
-    resumes with the held similarity inboxes.  In both variants the
+    leave the trials loop), marked by a ``kernel.handoff`` trace
+    event.  ``basic``: similarity runs first — its round count is a
+    node-independent constant of the :class:`SimilarityConfig` — so
+    the :class:`GeneratorLoop` builds the programs up front, pauses at
+    that boundary, the trials window runs as arrays, and the loop
+    resumes with the held similarity inboxes.  At the handoff the
     deferred boundary resume replays the skipped section's observable
     effects through ``RandomizedD2Program._kernel_prefix`` (phase-log
     entry + final-round adopt records), keeping program state
     bit-identical to reference.
 
-    One documented deviation: when the run stops or times out *inside*
-    the trials window of the ``basic`` variant, the deferred similarity
-    tail never executes, so ``program.similarity`` stays ``None`` (the
-    phase log is patched and colors/metrics/rounds still match
-    reference exactly).
+    One documented deviation: a run that ends *inside* the trials
+    window leaves its generators unstarted (``improved``) or paused at
+    the similarity boundary (``basic``, whose ``program.similarity``
+    therefore stays ``None``); the phase log is patched, and colors,
+    neighbor tables, RNG streams, metrics and rounds match reference
+    exactly.
     """
     if stop_when is not None and stop_when is not all_colored:
         return None
@@ -1637,9 +1646,9 @@ def _randomized_d2_kernel(
         prologue = 0
     window_end = prologue + 3 * trials
 
-    loop = GeneratorLoop(network)  # materializes the nodes
-    programs = network.programs
+    loop = None
     if prologue:
+        loop = GeneratorLoop(network)  # materializes the nodes
         status = loop.run_until(
             prologue,
             max_rounds=max_rounds,
@@ -1648,21 +1657,20 @@ def _randomized_d2_kernel(
         )
         if status is not PAUSED:
             return loop.result()  # ended inside similarity
+        meter.total_messages = loop.total_messages
+        meter.total_bits = loop.total_bits
+        meter.max_message_bits = loop.max_message_bits
 
     # --- the trials window, as arrays -----------------------------
     # Programs adopt no colors before their trials section, so the
     # window starts from a blank color state; draws continue on the
-    # very same per-node streams the prologue advanced.
-    rngs = [programs[v].ctx.rng for v in order]
+    # very same per-node streams the prologue advanced (lazy_draws
+    # wraps them once built).
+    draw_one = plan.lazy_draws().randrange
 
     def draw(_phase, live_idx):
-        return [
-            rngs[i].randrange(palette) for i in live_idx.tolist()
-        ]
+        return [draw_one(i, palette) for i in live_idx.tolist()]
 
-    meter.total_messages = loop.total_messages
-    meter.total_bits = loop.total_bits
-    meter.max_message_bits = loop.max_message_bits
     st = _TryState(n)
     colors, adopt_iter = st.colors, st.adopt_iter
     r, rounds, status = _run_try_phases(
@@ -1670,6 +1678,58 @@ def _randomized_d2_kernel(
         start_round=prologue, end_round=window_end,
         max_rounds=max_rounds, check_stop=stop_when is not None,
     )
+    handoff = status == "done"
+
+    # The window's observable state: resumes 0..r-1 have happened, so
+    # adopts from the final executed round are not yet in any
+    # neighbor table — on a completed window they ride the deferred
+    # boundary resume via _kernel_prefix instead.  A run ending inside
+    # the window never logs its trials entry; basic's programs logged
+    # similarity at the boundary resume (round ``prologue``) iff that
+    # round ran.
+    nbr_tables = _nbr_colors_writeback(
+        csr, order, colors, adopt_iter, r - 1
+    )
+    log = (
+        [("similarity", prologue)]
+        if variant == "basic" and r > prologue and not handoff
+        else []
+    )
+
+    def writeback(programs):
+        for i, node in enumerate(order):
+            program = programs[node]
+            c = int(colors[i])
+            program.color = c if c >= 0 else None
+            program.nbr_colors = nbr_tables(i)
+            program.phase_log.extend(log)
+
+    if loop is None and not handoff:
+        # Improved, ended inside the window: no generator runs again,
+        # so no program is built unless somebody asks for one.
+        if network.materialized:
+            writeback(network._programs)
+        else:
+            network._deferred_state.append(writeback)
+            network._vector_tables["color"] = _color_table(order, colors)
+            network._vector_tables["phase_log"] = lambda: {
+                node: list(log) for node in order
+            }
+        return _finish(
+            network, rounds, meter.total_messages, meter.total_bits,
+            meter.max_message_bits, r, status == "stopped",
+            status == "timeout", max_rounds, raise_on_timeout,
+        )
+
+    if handoff:
+        obs_trace.event(
+            "kernel.handoff", round=r, uncolored=int((colors < 0).sum())
+        )
+    if loop is None:
+        # Before _started is set: the fresh generators get None first.
+        loop = GeneratorLoop(network)  # materializes the nodes
+    programs = network.programs
+    writeback(programs)
     loop.total_messages = meter.total_messages
     loop.total_bits = meter.total_bits
     loop.max_message_bits = meter.max_message_bits
@@ -1677,35 +1737,17 @@ def _randomized_d2_kernel(
     loop.round_index = r
     if r > 0:
         network._started = True
-
-    # Write the window's observable state back: resumes 0..r-1 have
-    # happened, so adopts from the final executed round are not yet in
-    # any neighbor table — on a completed window they ride the
-    # deferred boundary resume via _kernel_prefix instead.
-    nbr_tables = _nbr_colors_writeback(
-        csr, order, colors, adopt_iter, r - 1
-    )
-    last = adopt_iter == r - 1
-    for i, node in enumerate(order):
-        program = programs[node]
-        c = int(colors[i])
-        program.color = c if c >= 0 else None
-        program.nbr_colors = nbr_tables(i)
-
-    if status != "done":
-        # Stopped or timed out mid-window.  Reference programs logged
-        # the similarity phase at the boundary resume (round
-        # ``prologue``) — patch it in iff that round actually ran; the
-        # trials entry is only logged once the section completes.
-        if variant == "basic" and r > prologue:
-            for program in programs.values():
-                program.phase_log.append(("similarity", prologue))
+    if not handoff:
         loop.stopped_early = status == "stopped"
         if status == "timeout" and raise_on_timeout:
             raise NonterminationError(max_rounds, set(loop.running))
         return loop.result()
 
     # --- hand back to the generators ------------------------------
+    # Neither the stop monitor nor the round cap fired at round r, so
+    # the resumed loop runs at least the boundary round and every node
+    # consumes its prefix there.
+    last = adopt_iter == r - 1
     g_indptr, g_indices = csr.g_indptr, csr.g_indices
     for i, node in enumerate(order):
         row = g_indices[g_indptr[i]:g_indptr[i + 1]]
@@ -1720,16 +1762,6 @@ def _randomized_d2_kernel(
         stop_when=stop_when,
         raise_on_timeout=raise_on_timeout,
     )
-    sample = next(iter(programs.values()))
-    if sample._kernel_prefix is not None:
-        # The run ended right at the window boundary, before the
-        # deferred resume consumed the prefix.  Reference programs at
-        # that point logged the similarity phase (basic) but not the
-        # trials entry; clear the dangling hook and match.
-        for program in programs.values():
-            program._kernel_prefix = None
-            if variant == "basic":
-                program.phase_log.append(("similarity", prologue))
     return loop.result()
 
 

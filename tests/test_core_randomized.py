@@ -1,6 +1,7 @@
 """Tests for constants, Reduce, LearnPalette, FinishColoring and the
 full randomized pipelines (Thm 1.1, Cor 2.1)."""
 
+import dataclasses
 import math
 
 import networkx as nx
@@ -17,6 +18,7 @@ from repro.core.d2color import (
 )
 from repro.core.learn_palette import LearnPaletteConfig
 from repro.core.reduce import REDUCE_PHASE_ROUNDS
+from repro.exec import use_backend
 from repro.graphs.generators import (
     clique_clusters,
     random_regular,
@@ -244,6 +246,54 @@ class TestBasicPipeline:
             assert phases.index("similarity") < phases.index(
                 "trials"
             )
+
+
+class TestPhaseTable:
+    """The remainder past the logged sections goes to the section in
+    progress when the run ended, not to the open-ended last one."""
+
+    GRAPH = random_regular(3, 40, seed=1)
+
+    def _phases(self, color, **kwargs):
+        with use_backend("reference"):
+            result = color(
+                self.GRAPH,
+                seed=1,
+                allow_deterministic_fallback=False,
+                **kwargs,
+            )
+        assert sum(p.rounds for p in result.phases) == result.rounds
+        return [(p.name, p.rounds) for p in result.phases]
+
+    def test_improved_ending_in_trials(self):
+        # Every node is colored at round 39, inside the 66-round
+        # trials section, which therefore never logs itself.
+        assert self._phases(improved_d2_color) == [("trials", 39)]
+
+    def test_improved_cut_in_trials(self):
+        assert self._phases(improved_d2_color, max_rounds=5) == [
+            ("trials", 5)
+        ]
+
+    def test_basic_ending_in_trials(self):
+        assert self._phases(basic_d2_color) == [
+            ("similarity", 2), ("trials", 39),
+        ]
+
+    def test_basic_cut_in_similarity(self):
+        assert self._phases(basic_d2_color, max_rounds=1) == [
+            ("similarity", 1)
+        ]
+
+    def test_improved_handoff_reaches_finish(self):
+        constants = dataclasses.replace(Constants.practical(), c0=0.3)
+        assert self._phases(improved_d2_color, constants=constants) == [
+            ("trials", 6),
+            ("similarity", 2),
+            ("reduce-ladder", 0),
+            ("learn-palette", 2),
+            ("finish", 23),
+        ]
 
 
 class TestReduceMechanics:

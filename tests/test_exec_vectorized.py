@@ -8,6 +8,7 @@ fastpath fallback for runs a kernel cannot replay, and the CSR
 adjacency artifact the kernels consume.
 """
 
+import dataclasses
 import pickle
 import random
 
@@ -32,7 +33,13 @@ from repro.congest.errors import (
 from repro.congest.message import int_bits
 from repro.congest.network import Network
 from repro.congest.policy import BandwidthPolicy
-from repro.core.d2color import basic_d2_color, improved_d2_color
+from repro.core.constants import Constants
+from repro.core.d2color import (
+    RandomizedD2Program,
+    basic_d2_color,
+    improved_d2_color,
+    randomized_inputs,
+)
 from repro.core.trying import all_colored
 from repro.det.color_reduction import (
     ColorReductionProgram,
@@ -543,6 +550,126 @@ class TestRandomizedD2Kernel:
         assert [(p.name, p.rounds) for p in vec.phases] == [
             (p.name, p.rounds) for p in ref.phases
         ]
+
+    # Improved-d2-Color colors this graph by round 39, inside its
+    # 66-round trials window; with c0 = 0.3 the window is 6 rounds
+    # long and ends with 21 nodes uncolored.
+    GRAPH = nx.random_regular_graph(3, 40, seed=1)
+    SHORT = dataclasses.replace(Constants.practical(), c0=0.3)
+
+    def _network(self, policy, constants=None):
+        delta = max(d for _, d in self.GRAPH.degree)
+        data = randomized_inputs(
+            self.GRAPH, "improved", constants or Constants.practical(),
+            policy, delta,
+        )
+        return Network(
+            self.GRAPH,
+            RandomizedD2Program,
+            seed=1,
+            policy=policy,
+            delta=delta,
+            inputs={v: data for v in self.GRAPH.nodes},
+        )
+
+    @pytest.mark.parametrize("prebuilt", [False, True])
+    @pytest.mark.parametrize("max_rounds", [7, 500])
+    def test_window_end_builds_no_programs(self, max_rounds, prebuilt):
+        # A run that stops (500) or times out (7) inside the window
+        # publishes its end-state as node tables; programs built later
+        # hold the reference state and continue its RNG streams.
+        nets, results = {}, {}
+        for backend in ("reference", "vectorized"):
+            net = self._network(BandwidthPolicy.track())
+            if prebuilt:
+                net.materialize()
+            results[backend] = net.run(
+                backend=backend,
+                max_rounds=max_rounds,
+                stop_when=all_colored,
+                raise_on_timeout=False,
+            )
+            nets[backend] = net
+        ref_net, vec_net = nets["reference"], nets["vectorized"]
+        ref, vec = results["reference"], results["vectorized"]
+        assert vec.stopped_early == ref.stopped_early
+        assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
+        assert vec_net.node_colors() == ref_net.node_colors()
+        assert vec_net.node_table("phase_log") == ref_net.node_table(
+            "phase_log"
+        )
+        assert vec_net.materialized == prebuilt
+        palette = ref_net.programs[0].palette
+        for node in ref_net.programs:
+            rp, vp = ref_net.programs[node], vec_net.programs[node]
+            assert vp.color == rp.color, node
+            assert vp.nbr_colors == rp.nbr_colors, node
+            assert vp.phase_log == rp.phase_log, node
+            assert vp.ctx.rng.randrange(palette) == rp.ctx.rng.randrange(
+                palette
+            ), node
+
+    @pytest.mark.parametrize("mode", ["strict", "track", "unbounded"])
+    @pytest.mark.parametrize(
+        "color",
+        [improved_d2_color, basic_d2_color],
+        ids=["improved", "basic"],
+    )
+    def test_handoff_parity(self, color, mode):
+        policy = _MODES[mode]
+
+        def run(backend):
+            with use_backend(backend):
+                return color(
+                    self.GRAPH,
+                    seed=1,
+                    constants=self.SHORT,
+                    policy=policy,
+                    max_rounds=60,
+                    allow_deterministic_fallback=False,
+                )
+
+        ref, vec = run("reference"), run("vectorized")
+        metric_ref = run("fastpath") if mode == "unbounded" else ref
+        assert vec.coloring == ref.coloring
+        assert vec.rounds == ref.rounds
+        assert _metrics_tuple(vec.metrics) == _metrics_tuple(
+            metric_ref.metrics
+        )
+        assert [(p.name, p.rounds) for p in vec.phases] == [
+            (p.name, p.rounds) for p in ref.phases
+        ]
+        assert ("trials", 6) in [(p.name, p.rounds) for p in ref.phases]
+
+    @pytest.mark.parametrize(
+        "constants, handoffs",
+        [(None, []), (SHORT, [{"round": 6, "uncolored": 21}])],
+        ids=["window-end", "handoff"],
+    )
+    def test_handoff_event(self, constants, handoffs):
+        log = _EventLog("kernel.handoff")
+        net = self._network(BandwidthPolicy.track(), constants)
+        with use_recorder(log):
+            net.run(
+                backend="vectorized",
+                max_rounds=500,
+                stop_when=all_colored,
+                raise_on_timeout=False,
+            )
+        assert log.attrs == handoffs
+        assert net.materialized == bool(handoffs)
+
+
+class _EventLog(NullRecorder):
+    """A recorder that keeps the attrs of every event named ``name``."""
+
+    def __init__(self, name):
+        self.name = name
+        self.attrs = []
+
+    def event(self, name, attrs=None):
+        if name == self.name:
+            self.attrs.append(attrs)
 
 
 class TestFallbacks:
