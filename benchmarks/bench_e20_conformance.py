@@ -13,8 +13,9 @@ history; the wall-clocks are persisted to
 
 import pytest
 
-from repro.conformance import build_corpus, run_conformance
+from repro.conformance import run_conformance
 from repro.harness.experiments import e20_conformance
+from repro.workloads.corpus import build_corpus
 
 from conftest import (
     registry_ids,

@@ -26,9 +26,11 @@ a run the vectorized backend executes entirely in arrays, so
 are built on first access of :attr:`contexts`/:attr:`programs` (or
 explicitly via :meth:`materialize`); per-node RNG streams come from
 one bulk :func:`~repro.congest.rng.derive_ints` pass, bit-identical to
-the per-node derivation.  Kernels that never materialize publish
-observable end-state through :meth:`node_colors`/:meth:`node_table`
-and leave a deferred write-back that runs if nodes are built later.
+the per-node derivation.  A run's end state is read through
+:meth:`node_colors`/:meth:`node_table`: from the programs after a
+generator run, from the tables a whole-run kernel published after a
+kernel run.  Such a network never builds its programs (fresh ones
+would hold the pre-run state), so :meth:`materialize` refuses.
 One consequence: program-constructor errors (e.g. a missing input key)
 surface at first materialization — usually :meth:`run` — rather than
 at ``Network(...)`` construction.
@@ -42,16 +44,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-)
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import networkx as nx
 
@@ -159,36 +153,10 @@ class RunResult:
     metrics: RunMetrics
     halted: bool
     stopped_early: bool = False
-    #: Node -> program instance, for post-hoc state inspection in
-    #: tests.  May be a lazy mapping that materializes the Python
-    #: nodes on first item access (kernel-executed runs).
-    programs: Mapping[int, NodeProgram] = field(default_factory=dict)
 
     @property
     def rounds(self) -> int:
         return self.metrics.rounds
-
-
-class _LazyPrograms(Mapping):
-    """Read-only ``{node: program}`` view that defers materialization.
-
-    Iteration and ``len`` come from the graph; the Python node objects
-    are only built when a program is actually subscripted.
-    """
-
-    __slots__ = ("_network",)
-
-    def __init__(self, network: "Network"):
-        self._network = network
-
-    def __getitem__(self, node: int) -> NodeProgram:
-        return self._network.programs[node]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._network.graph.nodes)
-
-    def __len__(self) -> int:
-        return self._network.n
 
 
 class NetworkPlan:
@@ -333,10 +301,8 @@ class Network:
         self._gens: Optional[Dict[int, Any]] = None
         self._nbr_sets: Optional[Dict[int, frozenset]] = None
         self._plan: Optional[NetworkPlan] = None
-        #: Kernel-recorded end-state: callables applied to the freshly
-        #: built programs if/when the network materializes.
-        self._deferred_state: List[Callable[[Dict[int, NodeProgram]], None]] = []
-        #: Kernel-published observable tables ({name: () -> dict}).
+        #: End-state tables a whole-run kernel published
+        #: ({name: () -> dict}); non-empty only after a kernel run.
         self._vector_tables: Dict[str, Callable[[], Dict[int, Any]]] = {}
         self.outputs: Dict[int, Any] = {}
         self._started = False
@@ -349,8 +315,19 @@ class Network:
         return self._programs is not None
 
     def materialize(self) -> Dict[int, NodeProgram]:
-        """Build contexts/programs/generators (idempotent)."""
+        """Build contexts/programs/generators (idempotent).
+
+        Refused once a whole-run kernel has run: the programs would
+        hold the pre-run state, not the kernel's end state.
+        """
         if self._programs is None:
+            if self._vector_tables:
+                raise RuntimeError(
+                    "this network ran as a vectorized kernel and has no "
+                    "node programs; read its end state through "
+                    "node_colors()/node_table() (published tables: "
+                    f"{', '.join(sorted(self._vector_tables))})"
+                )
             self._build_nodes()
         return self._programs
 
@@ -397,9 +374,6 @@ class Network:
             node: frozenset(ctx.neighbors)
             for node, ctx in contexts.items()
         }
-        deferred, self._deferred_state = self._deferred_state, []
-        for apply_state in deferred:
-            apply_state(programs)
 
     @property
     def contexts(self) -> Dict[int, NodeContext]:
@@ -437,39 +411,31 @@ class Network:
                 )
         return self._plan
 
-    # -- observable end-state without materialization ------------------
+    # -- observable end-state ------------------------------------------
 
     def node_colors(self) -> Dict[int, Optional[int]]:
-        """``{node: color}`` after a run.
-
-        Served from a kernel-published array table when the run never
-        built Python nodes; otherwise read from the programs.
-        """
-        table = self._vector_tables.get("color")
-        if table is not None and not self.materialized:
-            return table()
-        return {
-            node: program.color
-            for node, program in self.programs.items()
-        }
+        """``{node: color}`` after a run (see :meth:`node_table`)."""
+        return self.node_table("color")
 
     def node_table(self, attr: str) -> Dict[int, Any]:
-        """``{node: getattr(program, attr)}`` after a run, served from
-        a kernel-published array table when one exists."""
-        table = self._vector_tables.get(attr)
-        if table is not None and not self.materialized:
+        """``{node: getattr(program, attr)}`` after a run.
+
+        After a whole-run kernel this is served from the tables the
+        kernel published; an ``attr`` it did not publish raises
+        :class:`KeyError` naming the ones it did.
+        """
+        if self._vector_tables:
+            table = self._vector_tables.get(attr)
+            if table is None:
+                raise KeyError(
+                    f"the vectorized kernel published no {attr!r} "
+                    f"table; it published {sorted(self._vector_tables)}"
+                )
             return table()
         return {
             node: getattr(program, attr)
             for node, program in self.programs.items()
         }
-
-    def result_programs(self) -> Mapping[int, NodeProgram]:
-        """Programs mapping for a :class:`RunResult` — the real dict
-        when built, else a lazy view."""
-        if self.materialized:
-            return self._programs
-        return _LazyPrograms(self)
 
     # ------------------------------------------------------------------
 

@@ -232,9 +232,7 @@ def deg_plus_one_coloring_g(
     )
     run_li = net.run()
     li_coloring = dict(run_li.outputs)
-    blocked = {
-        v: p.blocked_phases for v, p in net.programs.items()
-    }
+    blocked = net.node_table("blocked_phases")
 
     # Stage 3: reduce q -> target.
     inputs = _part_inputs(

@@ -275,7 +275,6 @@ class GeneratorLoop:
             metrics=metrics,
             halted=not self.running,
             stopped_early=self.stopped_early,
-            programs=self.network.programs,
         )
 
 

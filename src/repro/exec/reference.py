@@ -119,5 +119,4 @@ class ReferenceBackend(ExecutionBackend):
             metrics=metrics,
             halted=not running,
             stopped_early=stopped_early,
-            programs=network.programs,
         )

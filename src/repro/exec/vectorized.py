@@ -13,16 +13,19 @@ bit-identical ``RunMetrics`` under metered policies.  Like fastpath,
 UNBOUNDED runs skip message *sizing* (``total_bits``/
 ``max_message_bits`` stay 0).
 
-Kernels run off the :class:`~repro.congest.network.NetworkPlan` —
-the CSR adjacency plus bulk-derived RNG streams — so a kernel-covered
-run on an *unmaterialized* network never builds a Python node object
-at all: end-state is published through ``Network.node_colors()``/
-``node_table()`` and written back to programs only if somebody later
-materializes them.  Hybrid kernels (the randomized d2-color pipeline)
-execute the array-friendly try-phase window as batched numpy work and
-drive the surrounding protocol sections through the resumable
+Kernels run only on networks whose Python nodes have not been built,
+off the :class:`~repro.congest.network.NetworkPlan` — the CSR
+adjacency plus bulk-derived RNG streams — and never build a node
+object: a whole-run kernel publishes the end state as node tables
+(``color``, ``phases_tried``, ``blocked_phases``, ``state``,
+``phases``, ``phase_log``) read through ``Network.node_colors()``/
+``node_table()``, and the network refuses to build programs
+afterwards.  The hybrid kernel (the randomized d2-color pipeline)
+executes the array-friendly try-phase window as batched numpy work and
+drives the surrounding protocol sections through the resumable
 :class:`~repro.exec.fastpath.GeneratorLoop`, building the programs only
-when a generator section really has to run.
+when a generator section really has to run and writing the window's
+state into them at that handoff.
 
 Coverage is per program class, not per call site:
 
@@ -44,20 +47,19 @@ Coverage is per program class, not per call site:
   reduce, learn-palette and finish still run as generators (for
   ``improved``, only if nodes are still uncolored after the trials).
 
-Everything else — and every run a kernel cannot replay exactly
-(custom ``stop_when`` monitors, ``avoid_known`` candidate selection,
-self-loop graphs, metered payloads that could exceed the budget,
-values that could leave int64, preseeded program state, packed
-relays the per-round packing would truncate) — falls back
-to ``fastpath`` automatically, so ``backend="vectorized"`` is always
-safe to request.  The guarantees are enforced by
+Everything else — networks whose nodes were built before the run,
+and every run a kernel cannot replay exactly (custom ``stop_when``
+monitors, ``avoid_known`` candidate selection, self-loop graphs,
+metered payloads that could exceed the budget, values that could
+leave int64, packed relays the per-round packing would truncate) —
+falls back to ``fastpath`` automatically, so ``backend="vectorized"``
+is always safe to request.  The guarantees are enforced by
 ``tests/test_backend_equivalence.py`` and
 ``tests/test_exec_vectorized.py``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Dict, List, Optional, Type
 
 from repro.baselines.luby import (
@@ -162,56 +164,40 @@ class VectorizedBackend(ExecutionBackend):
         record_rounds: bool = False,
     ):
         rec = obs_trace.recorder()
-        fallback_cause = None
-        if np is not None and not record_rounds and not network._started:
-            kernel = None
-            if network.materialized:
-                if len(network._generators) == len(network.programs):
-                    classes = {
-                        type(program)
-                        for program in network.programs.values()
-                    }
-                    if len(classes) == 1:
-                        kernel = KERNELS.get(classes.pop())
-                    else:
-                        fallback_cause = "mixed-programs"
-                else:
-                    fallback_cause = "partial-generators"
-            elif isinstance(network.program_factory, type):
-                # Unmaterialized + class factory: dispatch without
-                # building a single Python node.
-                kernel = KERNELS.get(network.program_factory)
-            if kernel is not None:
-                trace_t0 = rec.clock() if rec is not None else 0.0
-                result = kernel(
-                    network,
-                    max_rounds=max_rounds,
-                    stop_when=stop_when,
-                    raise_on_timeout=raise_on_timeout,
-                )
-                if result is not None:
-                    if rec is not None:
-                        rec.complete(
-                            "exec.kernel",
-                            trace_t0,
-                            {
-                                "kernel": kernel.__name__,
-                                "rounds": result.metrics.rounds,
-                                "messages": result.metrics.total_messages,
-                                "bits": result.metrics.total_bits,
-                            },
-                        )
-                    return result
-                fallback_cause = "kernel-declined"
-            elif fallback_cause is None:
-                fallback_cause = "no-kernel"
-        elif fallback_cause is None:
-            if np is None:
-                fallback_cause = "no-numpy"
-            elif record_rounds:
-                fallback_cause = "record-rounds"
-            else:
-                fallback_cause = "already-started"
+        factory = network.program_factory
+        if np is None:
+            fallback_cause = "no-numpy"
+        elif record_rounds:
+            fallback_cause = "record-rounds"
+        elif network._started:
+            fallback_cause = "already-started"
+        elif network.materialized:
+            fallback_cause = "materialized"
+        elif not isinstance(factory, type) or factory not in KERNELS:
+            fallback_cause = "no-kernel"
+        else:
+            kernel = KERNELS[factory]
+            trace_t0 = rec.clock() if rec is not None else 0.0
+            result = kernel(
+                network,
+                max_rounds=max_rounds,
+                stop_when=stop_when,
+                raise_on_timeout=raise_on_timeout,
+            )
+            if result is not None:
+                if rec is not None:
+                    rec.complete(
+                        "exec.kernel",
+                        trace_t0,
+                        {
+                            "kernel": kernel.__name__,
+                            "rounds": result.metrics.rounds,
+                            "messages": result.metrics.total_messages,
+                            "bits": result.metrics.total_bits,
+                        },
+                    )
+                return result
+            fallback_cause = "kernel-declined"
         if rec is not None:
             rec.event("exec.fallback", {"cause": fallback_cause})
         from repro.exec import get_backend
@@ -252,7 +238,6 @@ def _finish(network, rounds, total_messages, total_bits,
         metrics=metrics,
         halted=halted,
         stopped_early=stopped_early,
-        programs=network.result_programs(),
     )
 
 
@@ -492,7 +477,7 @@ def _int_table(order, values):
 @register_kernel(TrialProgram, specs=("trial", "trial-slack"))
 def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     """Vectorized :class:`TrialProgram` — runs off the
-    :class:`NetworkPlan`; no Python nodes unless already built."""
+    :class:`NetworkPlan`; builds no Python nodes."""
     if stop_when is not None and stop_when is not all_colored:
         return None
     plan = network.plan()
@@ -504,56 +489,30 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
 
     palettes = np.empty(n, dtype=np.int64)
     colors = np.full(n, -1, dtype=np.int64)
-    if network.materialized:
-        programs = network.programs
-        for i, node in enumerate(order):
-            program = programs[node]
-            if program.avoid_known or program.nbr_colors:
-                return None
-            palette = program.palette
+    for i, node in enumerate(order):
+        data = plan.input_for(node)
+        if data.get("avoid_known", False):
+            return None
+        palette = data.get("palette")
+        if (
+            not isinstance(palette, int)
+            or palette <= 0
+            or palette >= _INT64_SAFE
+        ):
+            return None  # incl. missing key: constructor decides
+        palettes[i] = palette
+        color = data.get("color")
+        if color is not None:
             if (
-                not isinstance(palette, int)
-                or palette <= 0
-                or palette >= _INT64_SAFE
+                not isinstance(color, int)
+                or color < 0
+                or color >= _INT64_SAFE
             ):
-                return None
-            palettes[i] = palette
-            color = program.color
-            if color is not None:
-                if (
-                    not isinstance(color, int)
-                    or color < 0
-                    or color >= _INT64_SAFE
-                ):
-                    return None  # negative breaks the -1 sentinel
-                colors[i] = color
-        rngs = [programs[v].ctx.rng for v in order]
-        draw_one = lambda i, bound: rngs[i].randrange(bound)  # noqa: E731
-    else:
-        for i, node in enumerate(order):
-            data = plan.input_for(node)
-            if data.get("avoid_known", False):
-                return None
-            palette = data.get("palette")
-            if (
-                not isinstance(palette, int)
-                or palette <= 0
-                or palette >= _INT64_SAFE
-            ):
-                return None  # incl. missing key: constructor decides
-            palettes[i] = palette
-            color = data.get("color")
-            if color is not None:
-                if (
-                    not isinstance(color, int)
-                    or color < 0
-                    or color >= _INT64_SAFE
-                ):
-                    return None
-                colors[i] = color
-        # Lazy per-node streams: a million-node run never holds a
-        # million Random objects (see NetworkPlan.lazy_draws).
-        draw_one = plan.lazy_draws().randrange
+                return None  # negative breaks the -1 sentinel
+            colors[i] = color
+    # Lazy per-node streams: a million-node run never holds a million
+    # Random objects (see NetworkPlan.lazy_draws).
+    draw_one = plan.lazy_draws().randrange
 
     metered = network.policy.mode is not BandwidthMode.UNBOUNDED
     meter = _Meter(metered)
@@ -576,26 +535,8 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
         check_stop=stop_when is not None, idle_forever=True,
     )
 
-    nbr_tables = _nbr_colors_writeback(
-        csr, order, colors, st.adopt_iter, r - 1
-    )
-
-    def writeback(programs):
-        for i, node in enumerate(order):
-            program = programs[node]
-            c = int(colors[i])
-            program.color = c if c >= 0 else None
-            program.phases_tried = int(phases_tried[i])
-            program.nbr_colors = nbr_tables(i)
-
-    if network.materialized:
-        writeback(network._programs)
-    else:
-        network._deferred_state.append(writeback)
-        network._vector_tables["color"] = _color_table(order, colors)
-        network._vector_tables["phases_tried"] = _int_table(
-            order, phases_tried
-        )
+    network._vector_tables["color"] = _color_table(order, colors)
+    network._vector_tables["phases_tried"] = _int_table(order, phases_tried)
     return _finish(
         network, rounds, meter.total_messages, meter.total_bits,
         meter.max_message_bits, r, status == "stopped",
@@ -628,54 +569,30 @@ def _poly_phase_kernel(
     b = np.empty(n, dtype=np.int64)
     offset = np.zeros(n, dtype=np.int64)
     qs = set()
-    if network.materialized:
-        programs = network.programs
-        for i, node in enumerate(order):
-            program = programs[node]
+    for i, node in enumerate(order):
+        data = plan.input_for(node)
+        q = data.get("q")
+        color_in = data.get("color_in")
+        if (
+            not isinstance(q, int)
+            or q <= 0
+            or q * q >= _INT64_SAFE
+            or not isinstance(color_in, int)
+            or not 0 <= color_in < q * q
+        ):
+            return None  # constructor raises on the real run
+        qs.add(q)
+        a[i] = color_in // q
+        b[i] = color_in % q
+        if with_parts:
+            part = data.get("part")
             if (
-                program.color is not None
-                or program.nbr_colors
-                or program.blocked_phases
+                not isinstance(part, int)
+                or part < 0
+                or part * q >= _INT64_SAFE
             ):
-                return None  # preseeded state: not a fresh run
-            q = program.q
-            if not isinstance(q, int) or q <= 0 or q * q >= _INT64_SAFE:
                 return None
-            qs.add(q)
-            if not (0 <= program.poly.a < q and 0 <= program.poly.b < q):
-                return None  # hand-built Poly1 outside F_q
-            a[i] = program.poly.a
-            b[i] = program.poly.b
-            if with_parts:
-                off = program.offset
-                if not isinstance(off, int) or not 0 <= off < _INT64_SAFE:
-                    return None
-                offset[i] = off
-    else:
-        for i, node in enumerate(order):
-            data = plan.input_for(node)
-            q = data.get("q")
-            color_in = data.get("color_in")
-            if (
-                not isinstance(q, int)
-                or q <= 0
-                or q * q >= _INT64_SAFE
-                or not isinstance(color_in, int)
-                or not 0 <= color_in < q * q
-            ):
-                return None  # constructor raises on the real run
-            qs.add(q)
-            a[i] = color_in // q
-            b[i] = color_in % q
-            if with_parts:
-                part = data.get("part")
-                if (
-                    not isinstance(part, int)
-                    or part < 0
-                    or part * q >= _INT64_SAFE
-                ):
-                    return None
-                offset[i] = part * q
+            offset[i] = part * q
     if len(qs) != 1:
         return None  # mixed q: phase schedules diverge per node
     q = qs.pop()
@@ -713,45 +630,20 @@ def _poly_phase_kernel(
             for node, c in zip(order, colors.tolist())
         )
 
-    # blocked_phases / succeeded_phase bookkeeping of phase t runs at
-    # resume 3t+3; a node tries every phase while live, so with
-    # adoption phase A (= adopt_iter // 3, else inf) the blocked count
-    # is |{t : t < A, 3t+3 <= resumes, t < q}|.
+    # blocked_phases bookkeeping of phase t runs at resume 3t+3; a node
+    # tries every phase while live, so with adoption phase A
+    # (= adopt_iter // 3, else inf) the blocked count is
+    # |{t : t < A, 3t+3 <= resumes, t < q}|.
     t_booked = (resumes - 3) // 3  # last phase with bookkeeping done
-    adopted = adopt_iter >= 0
-    adopt_phase = np.where(adopted, adopt_iter // 3, np.int64(q))
+    adopt_phase = np.where(adopt_iter >= 0, adopt_iter // 3, np.int64(q))
     blocked = np.maximum(
         0,
         np.minimum(
             np.minimum(adopt_phase - 1, t_booked), q - 1
         ) + 1,
     )
-    success_known = adopted & (3 * adopt_phase + 3 <= resumes)
-
-    nbr_tables = _nbr_colors_writeback(
-        csr, order, colors, adopt_iter, resumes
-    )
-
-    def writeback(programs):
-        for i, node in enumerate(order):
-            program = programs[node]
-            c = int(colors[i])
-            program.color = c if c >= 0 else None
-            program.blocked_phases = int(blocked[i])
-            program.nbr_colors = nbr_tables(i)
-            if not with_parts:
-                program.succeeded_phase = (
-                    int(adopt_phase[i]) if success_known[i] else None
-                )
-
-    if network.materialized:
-        writeback(network._programs)
-    else:
-        network._deferred_state.append(writeback)
-        network._vector_tables["color"] = _color_table(order, colors)
-        network._vector_tables["blocked_phases"] = _int_table(
-            order, blocked
-        )
+    network._vector_tables["color"] = _color_table(order, colors)
+    network._vector_tables["blocked_phases"] = _int_table(order, blocked)
     return _finish(
         network, rounds, meter.total_messages, meter.total_bits,
         meter.max_message_bits, r, status == "stopped",
@@ -793,22 +685,16 @@ def _part_locally_iterative_kernel(
 _BLOCK = 1 << 21
 
 def _shared(records, keys):
-    """The values of ``keys`` (None when absent) that every record
-    shares — dicts, or objects when ``records`` are programs — else
-    None.  Records that are the very same object (one
-    ``UniformInputs`` payload) are not compared again."""
-    get = (
-        (lambda record, key: record.get(key))
-        if isinstance(records[0], dict)
-        else (lambda record, key: getattr(record, key))
-    )
+    """The values of ``keys`` (None when absent) that every input dict
+    in ``records`` shares, else None.  Records that are the very same
+    object (one ``UniformInputs`` payload) are not compared again."""
     first = records[0]
-    config = tuple(get(first, key) for key in keys)
+    config = tuple(first.get(key) for key in keys)
     for record in records:
         if record is first:
             continue
         for key, value in zip(keys, config):
-            other = get(record, key)
+            other = record.get(key)
             if other is not value and other != value:
                 return None
     return config
@@ -1094,16 +980,9 @@ def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     order = csr.order
 
     keys = ("schedule", "relay", "relay_rounds", "per_message")
-    if network.materialized:
-        records = [network.programs[v] for v in order]
-        colors_in = [p.color for p in records]
-        parts_in = [p.part for p in records]
-    else:
-        records = [plan.input_for(v) for v in order]
-        colors_in = [
-            data.get("color_in", v) for v, data in zip(order, records)
-        ]
-        parts_in = [data.get("part", 0) for data in records]
+    records = [plan.input_for(v) for v in order]
+    colors_in = [data.get("color_in", v) for v, data in zip(order, records)]
+    parts_in = [data.get("part", 0) for data in records]
     config = _shared(records, keys)
     if config is None or None in config:
         return None  # mixed, or a constructor KeyError
@@ -1183,16 +1062,7 @@ def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
         final = colors.tolist()
 
     network.outputs.update(zip(order, final))
-
-    def writeback(programs):
-        for node, c in zip(order, final):
-            programs[node].color = c
-
-    if network.materialized:
-        writeback(network._programs)
-    else:
-        network._deferred_state.append(writeback)
-        network._vector_tables["color"] = lambda: dict(zip(order, final))
+    network._vector_tables["color"] = lambda: dict(zip(order, final))
     return _finish(
         network, total_rounds, total_messages, total_bits,
         max_message_bits, total_rounds + 1, False, False, max_rounds,
@@ -1203,23 +1073,6 @@ def _linial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
 # ----------------------------------------------------------------------
 # color reduction (Theorem B.2): color broadcast + packed gather, then
 # phases in which the strict G² maxima above the target recolor
-
-
-def _d2_multisets(csr, order, colors):
-    """Closure building each node's ``d2_colors`` Counter: neighbor
-    colors once per adjacency plus once per 2-path, as the setup
-    gather and the recolor announcements maintain it."""
-    g_indptr, g_indices = csr.g_indptr, csr.g_indices
-
-    def table(i):
-        row = g_indices[g_indptr[i]:g_indptr[i + 1]]
-        counts = Counter(colors[row].tolist())
-        for w in row.tolist():
-            far = g_indices[g_indptr[w]:g_indptr[w + 1]]
-            counts.update(colors[far[far != i]].tolist())
-        return counts
-
-    return table
 
 
 @register_kernel(ColorReductionProgram, specs=("deterministic-d2",))
@@ -1234,7 +1087,7 @@ def _color_reduction_kernel(
     its G² row.  A phase that recolors nobody leaves every later phase
     idle too, so the rest of the schedule is counted (two silent rounds
     each) without being stepped.  Declines on stop monitors, round caps
-    inside the schedule, preseeded multisets, gathers the packing would
+    inside the schedule, non-uniform config, gathers the packing would
     truncate, and metered payloads over the budget.
     """
     if stop_when is not None:
@@ -1246,17 +1099,11 @@ def _color_reduction_kernel(
     n = csr.n
     order = csr.order
 
-    keys = ("target", "phases", "gather_rounds", "per_message")
-    if network.materialized:
-        records = [network.programs[v] for v in order]
-        if any(p.d2_colors or p.recolored_in_phase is not None
-               for p in records):
-            return None  # not a fresh run
-        colors_in = [p.color for p in records]
-    else:
-        records = [plan.input_for(v) for v in order]
-        colors_in = [data.get("color_in") for data in records]
-    config = _shared(records, keys)
+    records = [plan.input_for(v) for v in order]
+    colors_in = [data.get("color_in") for data in records]
+    config = _shared(
+        records, ("target", "phases", "gather_rounds", "per_message")
+    )
     if config is None or not all(_is_int(x) for x in config):
         return None
     target, phases, gather_rounds, per_message = config
@@ -1288,9 +1135,8 @@ def _color_reduction_kernel(
     g2_indptr, g2_indices = csr.g2_indptr, csr.g2_indices
     d2_deg = csr.d2_degrees
     labels = np.asarray(order, dtype=np.int64)
-    recolored = np.full(n, -1, dtype=np.int64)
     neg = np.int64(-_INT64_SAFE)
-    for phase in range(phases):
+    for _ in range(phases):
         top = arrays.row_max(colors[g2_indices], g2_indptr, neg)
         idx = np.flatnonzero((colors >= target) & (colors > top))
         if idx.size == 0:
@@ -1317,27 +1163,12 @@ def _color_reduction_kernel(
             total_bits += int((senders * pb).sum())
             max_message_bits = max(max_message_bits, int(pb.max()))
         colors[idx] = new
-        recolored[idx] = phase
     if metered and max_message_bits > network._budget:
         return None  # replay the violation exactly via fastpath
 
     final = colors.tolist()
     network.outputs.update(zip(order, final))
-    d2_tables = _d2_multisets(csr, order, colors)
-
-    def writeback(programs):
-        for i, node in enumerate(order):
-            program = programs[node]
-            program.color = final[i]
-            program.d2_colors = d2_tables(i)
-            if recolored[i] >= 0:
-                program.recolored_in_phase = int(recolored[i])
-
-    if network.materialized:
-        writeback(network._programs)
-    else:
-        network._deferred_state.append(writeback)
-        network._vector_tables["color"] = lambda: dict(zip(order, final))
+    network._vector_tables["color"] = lambda: dict(zip(order, final))
     return _finish(
         network, total_rounds, total_messages, total_bits,
         max_message_bits, total_rounds + 1, False, False, max_rounds,
@@ -1359,9 +1190,9 @@ def _naive_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     phase t-1 and the G² colors it saw in the statuses of phase t-1;
     it adopts when no G² neighbor showed that color or proposed it in
     phase t.  Only runs monitored by ``all_colored`` are replayed (the
-    program never halts); declines on preseeded tables, non-uniform
-    config, relays the packing would truncate, and metered budgets the
-    worst-case payload could exceed.
+    program never halts); declines on non-uniform config, relays the
+    packing would truncate, and metered budgets the worst-case payload
+    could exceed.
     """
     if stop_when is not all_colored:
         return None
@@ -1372,21 +1203,10 @@ def _naive_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     n = csr.n
     order = csr.order
 
-    if network.materialized:
-        programs = [network.programs[v] for v in order]
-        if any(p.known_used or p.nbr_colors for p in programs):
-            return None  # not a fresh run
-        colors_in = [p.color for p in programs]
-        head = _shared(programs, ("palette", "relay_rounds"))
-        tail = _shared([p.ctx.data for p in programs], ("per_message",))
-        config = head + tail if head and tail else None
-        rngs = [p.ctx.rng for p in programs]
-        draw_one = lambda i, bound: rngs[i].randrange(bound)  # noqa: E731
-    else:
-        inputs = [plan.input_for(v) for v in order]
-        colors_in = [data.get("color") for data in inputs]
-        config = _shared(inputs, ("palette", "relay_rounds", "per_message"))
-        draw_one = plan.lazy_draws().randrange
+    inputs = [plan.input_for(v) for v in order]
+    colors_in = [data.get("color") for data in inputs]
+    config = _shared(inputs, ("palette", "relay_rounds", "per_message"))
+    draw_one = plan.lazy_draws().randrange
     if config is None or not all(_is_int(x) for x in config):
         return None
     palette, relay_rounds, per_message = config
@@ -1508,32 +1328,7 @@ def _naive_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
             adopt_phase[win] = t
         r += 1
 
-    # Program state after r resumes: known_used holds the G² colors
-    # seen up to the last resolved phase; a phase-s adoption reaches
-    # the neighbors' nbr_colors at the first resume of phase s + 1.
-    resolved = r // period
-    final = colors.tolist()
-
-    def writeback(programs):
-        known = (adopt_phase <= resolved - 2).tolist()
-        told = (
-            (adopt_phase >= 0) & (adopt_phase <= (r - 1) // period - 1)
-        ).tolist()
-        for i, node in enumerate(order):
-            program = programs[node]
-            program.color = final[i] if final[i] >= 0 else None
-            far = g2_indices[g2_indptr[i]:g2_indptr[i + 1]].tolist()
-            program.known_used = {final[j] for j in far if known[j]}
-            near = g_indices[g_indptr[i]:g_indptr[i + 1]].tolist()
-            program.nbr_colors = {
-                order[j]: final[j] for j in near if told[j]
-            }
-
-    if network.materialized:
-        writeback(network._programs)
-    else:
-        network._deferred_state.append(writeback)
-        network._vector_tables["color"] = _color_table(order, colors)
+    network._vector_tables["color"] = _color_table(order, colors)
     return _finish(
         network, r, total_messages, total_bits, max_message_bits, r,
         stopped, timed_out, max_rounds, raise_on_timeout,
@@ -1557,8 +1352,8 @@ def _randomized_d2_kernel(
     run as arrays off the :class:`NetworkPlan` (lazy per-node draws,
     no Python nodes).  A run that stops or times out inside that
     window ends there and publishes its end-state through the
-    ``color``/``phase_log`` node tables plus a deferred program
-    writeback; only a completed window with nodes still uncolored
+    ``color``/``phase_log`` node tables; only a completed window with
+    nodes still uncolored
     builds the programs and starts the generators (their first resume
     happens at round 3T, exactly where the reference run's generators
     leave the trials loop), marked by a ``kernel.handoff`` trace
@@ -1572,12 +1367,11 @@ def _randomized_d2_kernel(
     entry + final-round adopt records), keeping program state
     bit-identical to reference.
 
-    One documented deviation: a run that ends *inside* the trials
-    window leaves its generators unstarted (``improved``) or paused at
-    the similarity boundary (``basic``, whose ``program.similarity``
-    therefore stays ``None``); the phase log is patched, and colors,
-    neighbor tables, RNG streams, metrics and rounds match reference
-    exactly.
+    One documented deviation: a ``basic`` run that ends *inside* the
+    trials window leaves its generators paused at the similarity
+    boundary, so ``program.similarity`` stays ``None``; the window's
+    colors, neighbor tables and phase-log entry are written into the
+    programs, and metrics and rounds match reference exactly.
     """
     if stop_when is not None and stop_when is not all_colored:
         return None
@@ -1588,34 +1382,15 @@ def _randomized_d2_kernel(
     n = csr.n
     order = csr.order
 
-    configs = set()
-    if network.materialized:
-        for program in network.programs.values():
-            if (
-                program.color is not None
-                or program.nbr_colors
-                or program.phase_log
-            ):
-                return None  # not a fresh run
-            configs.add(
-                (
-                    program.palette,
-                    program.variant,
-                    program.initial_trials,
-                    program.sim_config,
-                )
-            )
-    else:
-        for node in order:
-            data = plan.input_for(node)
-            configs.add(
-                (
-                    data.get("palette"),
-                    data.get("variant"),
-                    data.get("initial_trials"),
-                    data.get("sim_config"),
-                )
-            )
+    configs = {
+        (
+            data.get("palette"),
+            data.get("variant"),
+            data.get("initial_trials"),
+            data.get("sim_config"),
+        )
+        for data in map(plan.input_for, order)
+    }
     if len(configs) != 1:
         return None
     palette, variant, trials, sim_config = configs.pop()
@@ -1680,20 +1455,34 @@ def _randomized_d2_kernel(
     )
     handoff = status == "done"
 
-    # The window's observable state: resumes 0..r-1 have happened, so
-    # adopts from the final executed round are not yet in any
-    # neighbor table — on a completed window they ride the deferred
-    # boundary resume via _kernel_prefix instead.  A run ending inside
-    # the window never logs its trials entry; basic's programs logged
-    # similarity at the boundary resume (round ``prologue``) iff that
-    # round ran.
-    nbr_tables = _nbr_colors_writeback(
-        csr, order, colors, adopt_iter, r - 1
-    )
+    # A run ending inside the window never logs its trials entry;
+    # basic's programs logged similarity at the boundary resume (round
+    # ``prologue``) iff that round ran.
     log = (
         [("similarity", prologue)]
         if variant == "basic" and r > prologue and not handoff
         else []
+    )
+    if loop is None and not handoff:
+        # Improved, ended inside the window: no generator runs again,
+        # so no program is built.
+        network._vector_tables["color"] = _color_table(order, colors)
+        network._vector_tables["phase_log"] = lambda: {
+            node: list(log) for node in order
+        }
+        return _finish(
+            network, rounds, meter.total_messages, meter.total_bits,
+            meter.max_message_bits, r, status == "stopped",
+            status == "timeout", max_rounds, raise_on_timeout,
+        )
+
+    # The window's state, written into the programs the generators
+    # resume: resumes 0..r-1 have happened, so adopts from the final
+    # executed round are not yet in any neighbor table — on a
+    # completed window they ride the deferred boundary resume via
+    # _kernel_prefix instead.
+    nbr_tables = _nbr_colors_writeback(
+        csr, order, colors, adopt_iter, r - 1
     )
 
     def writeback(programs):
@@ -1703,23 +1492,6 @@ def _randomized_d2_kernel(
             program.color = c if c >= 0 else None
             program.nbr_colors = nbr_tables(i)
             program.phase_log.extend(log)
-
-    if loop is None and not handoff:
-        # Improved, ended inside the window: no generator runs again,
-        # so no program is built unless somebody asks for one.
-        if network.materialized:
-            writeback(network._programs)
-        else:
-            network._deferred_state.append(writeback)
-            network._vector_tables["color"] = _color_table(order, colors)
-            network._vector_tables["phase_log"] = lambda: {
-                node: list(log) for node in order
-            }
-        return _finish(
-            network, rounds, meter.total_messages, meter.total_bits,
-            meter.max_message_bits, r, status == "stopped",
-            status == "timeout", max_rounds, raise_on_timeout,
-        )
 
     if handoff:
         obs_trace.event(
@@ -1791,19 +1563,8 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     n = csr.n
     order = csr.order
 
-    ks = set()
-    if network.materialized:
-        programs = network.programs
-        for v in order:
-            ks.add(programs[v].k)
-        if any(programs[v].state != _STATE_LIVE for v in order):
-            return None  # resumed/preseeded state: not a fresh run
-        rngs = [programs[v].ctx.rng for v in order]
-        draw_one = lambda i, bound: rngs[i].randrange(bound)  # noqa: E731
-    else:
-        for v in order:
-            ks.add(plan.input_for(v).get("k"))
-        draw_one = plan.lazy_draws().randrange
+    ks = {plan.input_for(v).get("k") for v in order}
+    draw_one = plan.lazy_draws().randrange
     if len(ks) != 1:
         return None
     k = ks.pop()
@@ -1932,24 +1693,12 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
 
     names = {LIVE: _STATE_LIVE, IN_MIS: _STATE_IN_MIS,
              DOM: _STATE_DOMINATED}
-
-    def writeback(programs):
-        for i, node in enumerate(order):
-            program = programs[node]
-            program.state = names[int(state[i])]
-            program.phases = phases
-
-    if network.materialized:
-        writeback(network._programs)
-    else:
-        network._deferred_state.append(writeback)
-        network._vector_tables["state"] = lambda: {
-            node: names[int(s)]
-            for node, s in zip(order, state.tolist())
-        }
-        network._vector_tables["phases"] = lambda: {
-            node: phases for node in order
-        }
+    network._vector_tables["state"] = lambda: {
+        node: names[int(s)] for node, s in zip(order, state.tolist())
+    }
+    network._vector_tables["phases"] = lambda: {
+        node: phases for node in order
+    }
     return _finish(
         network, rounds, total_messages, total_bits,
         max_message_bits, r, stopped_early, timed_out,

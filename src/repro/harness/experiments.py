@@ -1079,7 +1079,8 @@ def e20_conformance(seed: int = 20, backend=None) -> ExperimentTable:
     :class:`~repro.exec.sweep.SweepBackend` (or "sweep") and the whole
     matrix fans out across workers with identical results.
     """
-    from repro.conformance import build_corpus, run_conformance
+    from repro.conformance import run_conformance
+    from repro.workloads.corpus import build_corpus
 
     table = ExperimentTable(
         "E20",
@@ -1150,8 +1151,8 @@ def e21_backends(
     """
     import time
 
-    from repro.conformance.scenarios import build_large_corpus
     from repro.exec import SweepBackend, grid_cells
+    from repro.workloads.corpus import build_large_corpus
 
     table = ExperimentTable(
         "E21",

@@ -209,10 +209,7 @@ def run_finish_only(
         raise_on_timeout=False,
         max_rounds=50_000,
     )
-    final = {
-        v: program.color
-        for v, program in network.programs.items()
-    }
+    final = network.node_colors()
     valid = check_d2_coloring(graph, final, palette).valid
     # Subtract the preset-announcement round.
     return max(0, run.metrics.rounds - 1), valid

@@ -154,7 +154,7 @@ class Instance:
     is materialized only if a fallback/reference path asks for it.
 
     The graph returned by :meth:`graph` is the shared cached object —
-    callers must not mutate it (copy first; ``named_instance`` does).
+    callers must not mutate it (copy first).
     """
 
     __slots__ = (
@@ -661,10 +661,10 @@ class InstanceCache:
 
         An unregistered *name* still resolves if a prebuilt
         registered instance was :meth:`install`-ed under it (the
-        worker-pool path).  An unregistered *spec object* (e.g. a
-        ``Scenario``-shim ad-hoc spec) is content-interned instead of
-        keyed by name, so two ad-hoc specs sharing a name can never
-        alias each other's graphs.
+        worker-pool path).  An unregistered *spec object* (e.g. an
+        :func:`~repro.workloads.spec.adhoc` spec) is content-interned
+        instead of keyed by name, so two ad-hoc specs sharing a name
+        can never alias each other's graphs.
         """
         from repro.workloads.spec import is_registered_spec
 

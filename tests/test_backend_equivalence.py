@@ -14,7 +14,7 @@ fastpath fallback for every other spec.)
 import pytest
 
 from repro import registry
-from repro.conformance.scenarios import build_corpus, corpus_names
+from repro.workloads.corpus import build_corpus, corpus_names
 from repro.congest.policy import BandwidthPolicy
 
 SEED = 7

@@ -11,13 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.congest.policy import BandwidthPolicy
-from repro.conformance import (
-    build_corpus,
-    coloring_fingerprint,
-    run_conformance,
-)
+from repro.conformance import coloring_fingerprint, run_conformance
 from repro.conformance.runner import ConformanceRecord, _check_record
 from repro.registry import ALGORITHMS, get_algorithm, graph_delta
+from repro.workloads.corpus import build_corpus
 
 CORPUS = build_corpus()
 CORPUS_IDS = [scenario.name for scenario in CORPUS]

@@ -18,12 +18,13 @@ import os
 import pytest
 
 from repro import registry
-from repro.conformance import build_large_corpus, run_conformance
+from repro.conformance import run_conformance
 from repro.exec import (
     SweepBackend,
     grid_cells,
     run_sharded,
 )
+from repro.workloads.corpus import build_large_corpus
 
 pytestmark = pytest.mark.slow
 

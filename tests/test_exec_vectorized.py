@@ -3,7 +3,7 @@
 `test_backend_equivalence.py` pins ``vectorized ≡ reference`` over
 the registry × corpus product; this module drills into the engine
 itself — exact parity on the awkward paths (round cutoffs, timeout
-fast-forwards, precoloring, program-state writeback), the automatic
+fast-forwards, precoloring, the end-state node tables), the automatic
 fastpath fallback for runs a kernel cannot replay, and the CSR
 adjacency artifact the kernels consume.
 """
@@ -25,7 +25,6 @@ from repro.baselines.luby import (
 )
 from repro.baselines.naive import NaiveProgram, naive_congest_d2_color
 from repro.baselines.trial import TrialProgram, trial_d2_color
-from repro.conformance.scenarios import build_corpus
 from repro.congest.errors import (
     BandwidthExceededError,
     NonterminationError,
@@ -63,7 +62,7 @@ from repro.exec.arrays import (
     row_any,
     row_max,
 )
-from repro.exec.vectorized import kernel_coverage
+from repro.exec.vectorized import KERNELS, kernel_coverage
 from repro.obs.trace import (
     NullRecorder,
     TraceRecorder,
@@ -71,6 +70,7 @@ from repro.obs.trace import (
     use_recorder,
 )
 from repro.workloads.cache import InstanceCache
+from repro.workloads.corpus import build_corpus
 
 
 def _metrics_tuple(metrics):
@@ -137,11 +137,10 @@ def _assert_trial_parity(make_network, **run_kwargs):
     assert vec.outputs == ref.outputs
     assert vec.stopped_early == ref.stopped_early
     assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
-    for node in ref_net.programs:
-        rp, vp = ref_net.programs[node], vec_net.programs[node]
-        assert vp.color == rp.color, node
-        assert vp.phases_tried == rp.phases_tried, node
-        assert vp.nbr_colors == rp.nbr_colors, node
+    assert vec_net.node_colors() == ref_net.node_colors()
+    assert vec_net.node_table("phases_tried") == ref_net.node_table(
+        "phases_tried"
+    )
     assert vec_net._started == ref_net._started
 
 
@@ -152,10 +151,8 @@ def _assert_luby_parity(make_network, **run_kwargs):
     assert vec.outputs == ref.outputs
     assert vec.stopped_early == ref.stopped_early
     assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
-    for node in ref_net.programs:
-        rp, vp = ref_net.programs[node], vec_net.programs[node]
-        assert vp.state == rp.state, node
-        assert vp.phases == rp.phases, node
+    assert vec_net.node_table("state") == ref_net.node_table("state")
+    assert vec_net.node_table("phases") == ref_net.node_table("phases")
 
 
 class TestKernelCoverage:
@@ -390,22 +387,17 @@ def _part_li_network(graph, seed, parts=3, policy=None):
     )
 
 
-def _assert_poly_phase_parity(make_network, with_parts, **run_kwargs):
+def _assert_poly_phase_parity(make_network, **run_kwargs):
     (ref_net, ref), (vec_net, vec) = _run_pair(
         lambda: make_network()[1], **run_kwargs
     )
     assert vec.outputs == ref.outputs
     assert vec.stopped_early == ref.stopped_early
     assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
-    for node in ref_net.programs:
-        rp, vp = ref_net.programs[node], vec_net.programs[node]
-        assert vp.color == rp.color, node
-        assert vp.blocked_phases == rp.blocked_phases, node
-        assert vp.nbr_colors == rp.nbr_colors, node
-        if with_parts:
-            assert vp.offset == rp.offset, node
-        else:
-            assert vp.succeeded_phase == rp.succeeded_phase, node
+    assert vec_net.node_colors() == ref_net.node_colors()
+    assert vec_net.node_table("blocked_phases") == ref_net.node_table(
+        "blocked_phases"
+    )
     assert vec_net._started == ref_net._started
 
 
@@ -422,7 +414,6 @@ class TestPolyPhaseKernels:
             lambda: _li_network(
                 graph, seed, policy=BandwidthPolicy.track()
             ),
-            with_parts=False,
             max_rounds=3 * q + 3,
             stop_when=all_colored,
             raise_on_timeout=False,
@@ -437,7 +428,6 @@ class TestPolyPhaseKernels:
             lambda: _part_li_network(
                 graph, seed, policy=BandwidthPolicy.track()
             ),
-            with_parts=True,
             max_rounds=3 * q + 3,
             stop_when=all_colored,
             raise_on_timeout=False,
@@ -447,13 +437,12 @@ class TestPolyPhaseKernels:
         "max_rounds", [0, 1, 2, 3, 4, 5, 6, 7, 11, 200]
     )
     def test_li_round_cutoff_parity(self, max_rounds):
-        # Mid-phase cutoffs: the writeback must reconstruct exactly
-        # the blocked/succeeded counters the aborted generators hold.
+        # Mid-phase cutoffs: the published table must hold exactly the
+        # blocked counters the aborted generators hold.
         _assert_poly_phase_parity(
             lambda: _li_network(
                 GRAPHS["petersen"], 5, policy=BandwidthPolicy.track()
             ),
-            with_parts=False,
             max_rounds=max_rounds,
             stop_when=all_colored,
             raise_on_timeout=False,
@@ -465,7 +454,6 @@ class TestPolyPhaseKernels:
             lambda: _part_li_network(
                 GRAPHS["gnp24"], 3, policy=BandwidthPolicy.track()
             ),
-            with_parts=True,
             max_rounds=max_rounds,
             stop_when=all_colored,
             raise_on_timeout=False,
@@ -481,11 +469,26 @@ class TestPolyPhaseKernels:
             lambda: _li_network(
                 graph, 1, policy=BandwidthPolicy.track()
             ),
-            with_parts=False,
             max_rounds=3 * q + 3,
             stop_when=None,
             raise_on_timeout=False,
         )
+
+
+def _improved_network(graph, policy, constants=None):
+    delta = max(d for _, d in graph.degree)
+    data = randomized_inputs(
+        graph, "improved", constants or Constants.practical(),
+        policy, delta,
+    )
+    return Network(
+        graph,
+        RandomizedD2Program,
+        seed=1,
+        policy=policy,
+        delta=delta,
+        inputs={v: data for v in graph.nodes},
+    )
 
 
 class TestRandomizedD2Kernel:
@@ -557,30 +560,15 @@ class TestRandomizedD2Kernel:
     GRAPH = nx.random_regular_graph(3, 40, seed=1)
     SHORT = dataclasses.replace(Constants.practical(), c0=0.3)
 
-    def _network(self, policy, constants=None):
-        delta = max(d for _, d in self.GRAPH.degree)
-        data = randomized_inputs(
-            self.GRAPH, "improved", constants or Constants.practical(),
-            policy, delta,
-        )
-        return Network(
-            self.GRAPH,
-            RandomizedD2Program,
-            seed=1,
-            policy=policy,
-            delta=delta,
-            inputs={v: data for v in self.GRAPH.nodes},
-        )
-
     @pytest.mark.parametrize("prebuilt", [False, True])
     @pytest.mark.parametrize("max_rounds", [7, 500])
     def test_window_end_builds_no_programs(self, max_rounds, prebuilt):
         # A run that stops (500) or times out (7) inside the window
-        # publishes its end-state as node tables; programs built later
-        # hold the reference state and continue its RNG streams.
+        # publishes its end-state as node tables and builds no
+        # programs; a network built before the run falls back.
         nets, results = {}, {}
         for backend in ("reference", "vectorized"):
-            net = self._network(BandwidthPolicy.track())
+            net = _improved_network(self.GRAPH, BandwidthPolicy.track())
             if prebuilt:
                 net.materialize()
             results[backend] = net.run(
@@ -599,15 +587,6 @@ class TestRandomizedD2Kernel:
             "phase_log"
         )
         assert vec_net.materialized == prebuilt
-        palette = ref_net.programs[0].palette
-        for node in ref_net.programs:
-            rp, vp = ref_net.programs[node], vec_net.programs[node]
-            assert vp.color == rp.color, node
-            assert vp.nbr_colors == rp.nbr_colors, node
-            assert vp.phase_log == rp.phase_log, node
-            assert vp.ctx.rng.randrange(palette) == rp.ctx.rng.randrange(
-                palette
-            ), node
 
     @pytest.mark.parametrize("mode", ["strict", "track", "unbounded"])
     @pytest.mark.parametrize(
@@ -648,7 +627,9 @@ class TestRandomizedD2Kernel:
     )
     def test_handoff_event(self, constants, handoffs):
         log = _EventLog("kernel.handoff")
-        net = self._network(BandwidthPolicy.track(), constants)
+        net = _improved_network(
+            self.GRAPH, BandwidthPolicy.track(), constants
+        )
         with use_recorder(log):
             net.run(
                 backend="vectorized",
@@ -857,6 +838,45 @@ def _cr_input(graph, seed):
     return dict(zip(nodes, colors)), palette
 
 
+def _linial_network(graph, ids):
+    """A G² Linial network with one-round, 64-item relays."""
+    schedule = linial_schedule(_BIG, _delta(graph) ** 2)
+    inputs = {
+        v: {
+            "schedule": schedule,
+            "relay": True,
+            "relay_rounds": [1] * len(schedule),
+            "per_message": [64] * len(schedule),
+            "color_in": ids[v],
+        }
+        for v in graph.nodes
+    }
+    return Network(
+        graph, LinialProgram, policy=BandwidthPolicy.track(),
+        inputs=inputs,
+    )
+
+
+def _cr_network(graph, colors, palette):
+    """A color-reduction network down to Δ²+1 with two gather rounds
+    of three items each."""
+    target = _delta(graph) ** 2 + 1
+    inputs = {
+        v: {
+            "color_in": colors[v],
+            "target": target,
+            "phases": palette - target,
+            "gather_rounds": 2,
+            "per_message": 3,
+        }
+        for v in graph.nodes
+    }
+    return Network(
+        graph, ColorReductionProgram,
+        policy=BandwidthPolicy.track(), inputs=inputs,
+    )
+
+
 class TestLinialKernel:
     @pytest.mark.parametrize("mode", sorted(_MODES))
     @pytest.mark.parametrize("seed", [0, 1])
@@ -947,30 +967,15 @@ class TestLinialKernel:
     def test_program_state_after_later_access(self):
         graph = _relabeled(_CORPUS["gnp24"].graph(1), 1)
         ids = _big_ids(graph, 1)
-
-        def make():
-            schedule = linial_schedule(_BIG, _delta(graph) ** 2)
-            inputs = {
-                v: {
-                    "schedule": schedule,
-                    "relay": True,
-                    "relay_rounds": [1] * len(schedule),
-                    "per_message": [64] * len(schedule),
-                    "color_in": ids[v],
-                }
-                for v in graph.nodes
-            }
-            return Network(
-                graph, LinialProgram, policy=BandwidthPolicy.track(),
-                inputs=inputs,
-            )
-
-        (ref_net, ref), (vec_net, vec) = _run_pair(make)
+        (ref_net, ref), (vec_net, vec) = _run_pair(
+            lambda: _linial_network(graph, ids)
+        )
         assert not vec_net.materialized
         assert vec.outputs == ref.outputs
         assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
-        for node in ref_net.programs:
-            assert vec_net.programs[node].color == ref_net.programs[node].color
+        assert vec_net.node_colors() == ref_net.node_colors()
+        with pytest.raises(RuntimeError, match=r"node_table\(\)"):
+            vec_net.programs
 
 
 class TestColorReductionKernel:
@@ -1006,34 +1011,15 @@ class TestColorReductionKernel:
     def test_program_state_after_later_access(self):
         graph = _relabeled(_CORPUS["cliques3x4"].graph(0), 0)
         colors, palette = _cr_input(graph, 0)
-        delta = _delta(graph)
-
-        def make():
-            target = delta * delta + 1
-            inputs = {
-                v: {
-                    "color_in": colors[v],
-                    "target": target,
-                    "phases": palette - target,
-                    "gather_rounds": 2,
-                    "per_message": 3,
-                }
-                for v in graph.nodes
-            }
-            return Network(
-                graph, ColorReductionProgram,
-                policy=BandwidthPolicy.track(), inputs=inputs,
-            )
-
-        (ref_net, ref), (vec_net, vec) = _run_pair(make)
+        (ref_net, ref), (vec_net, vec) = _run_pair(
+            lambda: _cr_network(graph, colors, palette)
+        )
         assert not vec_net.materialized
         assert vec.outputs == ref.outputs
         assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
-        for node in ref_net.programs:
-            rp, vp = ref_net.programs[node], vec_net.programs[node]
-            assert vp.color == rp.color, node
-            assert vp.d2_colors == rp.d2_colors, node
-            assert vp.recolored_in_phase == rp.recolored_in_phase, node
+        assert vec_net.node_colors() == ref_net.node_colors()
+        with pytest.raises(RuntimeError, match=r"node_table\(\)"):
+            vec_net.materialize()
 
 
 def _naive_network(graph, seed, policy=None, palette=None, colors=None):
@@ -1080,9 +1066,8 @@ class TestNaiveKernel:
 
     @pytest.mark.parametrize("max_rounds", list(range(13)) + [40])
     def test_round_cutoff_program_state(self, max_rounds):
-        # Cutoffs land on every round of the first phases: colors,
-        # known_used and nbr_colors must be what the aborted
-        # generators hold.
+        # Cutoffs land on every round of the first phases: the colors
+        # must be what the aborted generators hold.
         graph = _relabeled(_CORPUS["powerlaw24"].graph(2), 2)
         colors = {v: 3 for v in sorted(graph.nodes)[:1]}
         _assert_naive_state(
@@ -1124,11 +1109,6 @@ def _assert_naive_state(make_network, **run_kwargs):
     assert vec_net.node_colors() == ref_net.node_colors()
     assert vec.stopped_early == ref.stopped_early
     assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
-    for node in ref_net.programs:
-        rp, vp = ref_net.programs[node], vec_net.programs[node]
-        assert vp.color == rp.color, node
-        assert vp.known_used == rp.known_used, node
-        assert vp.nbr_colors == rp.nbr_colors, node
     assert vec_net._started == ref_net._started
 
 
@@ -1275,6 +1255,128 @@ class TestFrontHalfDeclines:
         assert vec_net.materialized
         assert vec_net.node_colors() == ref_net.node_colors()
         assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
+
+
+def _kernel_case(program_cls):
+    """A small run of ``program_cls``: (network maker, run kwargs,
+    an end-state table to compare)."""
+    track = BandwidthPolicy.track()
+    petersen = GRAPHS["petersen"]
+    gnp = _CORPUS["gnp24"].graph(0)
+    colors, palette = _cr_input(gnp, 0)
+    monitored = {
+        "max_rounds": 5_000,
+        "stop_when": all_colored,
+        "raise_on_timeout": False,
+    }
+    return {
+        TrialProgram: (
+            lambda: _trial_network(petersen, 1, policy=track),
+            monitored, "color",
+        ),
+        LubyDistanceKProgram: (
+            lambda: _luby_network(gnp, 3, policy=track),
+            dict(monitored, stop_when=_all_decided), "state",
+        ),
+        LocallyIterativeProgram: (
+            lambda: _li_network(petersen, 1, policy=track)[1],
+            {}, "color",
+        ),
+        PartLocallyIterativeD2: (
+            lambda: _part_li_network(gnp, 3, policy=track)[1],
+            {}, "color",
+        ),
+        LinialProgram: (
+            lambda: _linial_network(gnp, _big_ids(gnp, 0)), {}, "color",
+        ),
+        ColorReductionProgram: (
+            lambda: _cr_network(gnp, colors, palette), {}, "color",
+        ),
+        NaiveProgram: (
+            lambda: _naive_network(gnp, 2, track), monitored, "color",
+        ),
+        RandomizedD2Program: (
+            lambda: _improved_network(
+                TestRandomizedD2Kernel.GRAPH, track,
+                TestRandomizedD2Kernel.SHORT,
+            ),
+            monitored, "color",
+        ),
+    }[program_cls]
+
+
+class TestEndStateChannel:
+    """A kernel run's end state is only readable as node tables: a
+    network built before the run falls back, and one a kernel ran is
+    never built afterwards."""
+
+    @pytest.mark.parametrize(
+        "program_cls", list(KERNELS), ids=lambda cls: cls.__name__
+    )
+    def test_prebuilt_network_falls_back(self, program_cls):
+        make, run_kwargs, attr = _kernel_case(program_cls)
+        ref_net, vec_net = make(), make()
+        vec_net.materialize()
+        ref = ref_net.run(backend="reference", **run_kwargs)
+        log = _FallbackLog()
+        with use_recorder(log):
+            vec = vec_net.run(backend="vectorized", **run_kwargs)
+        assert log.causes == ["materialized"]
+        assert vec.outputs == ref.outputs
+        assert vec.stopped_early == ref.stopped_early
+        assert _metrics_tuple(vec.metrics) == _metrics_tuple(ref.metrics)
+        assert vec_net.node_table(attr) == ref_net.node_table(attr)
+
+    def test_resuming_after_a_kernel_run_raises(self):
+        net = _trial_network(GRAPHS["petersen"], 5)
+        net.run(
+            backend="vectorized",
+            max_rounds=2,
+            stop_when=all_colored,
+            raise_on_timeout=False,
+        )
+        assert net._started and not net.materialized
+        for backend in ("fastpath", "reference", "vectorized"):
+            with pytest.raises(RuntimeError, match=r"node_table\(\)"):
+                net.run(
+                    backend=backend,
+                    max_rounds=50,
+                    stop_when=all_colored,
+                    raise_on_timeout=False,
+                )
+        assert not net.materialized
+
+    def test_resuming_after_a_generator_run_works(self):
+        outcomes = []
+        for first in ("reference", "fastpath"):
+            net = _trial_network(GRAPHS["petersen"], 5)
+            net.run(
+                backend=first,
+                max_rounds=2,
+                stop_when=all_colored,
+                raise_on_timeout=False,
+            )
+            rest = net.run(
+                backend="fastpath",
+                max_rounds=5_000,
+                stop_when=all_colored,
+                raise_on_timeout=False,
+            )
+            assert rest.stopped_early
+            outcomes.append((net.node_colors(), _metrics_tuple(rest.metrics)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_unpublished_table_names_the_published_ones(self):
+        net = _trial_network(GRAPHS["petersen"], 5)
+        net.run(
+            backend="vectorized",
+            max_rounds=5_000,
+            stop_when=all_colored,
+            raise_on_timeout=False,
+        )
+        with pytest.raises(KeyError, match="nbr_colors") as info:
+            net.node_table("nbr_colors")
+        assert "['color', 'phases_tried']" in str(info.value)
 
 
 @pytest.mark.parametrize(

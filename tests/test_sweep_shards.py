@@ -47,13 +47,15 @@ _SPECS = [
 ]
 _WORKLOADS = [
     get_workload(name)
-    for name in ("cycle5", "gnp24", "relay3x4", "powerlaw24")
+    for name in (
+        "cycle5", "gnp24", "relay3x4", "powerlaw24", "sampling-slack24",
+    )
 ]
 
 
 def small_grid():
     return grid_cells(
-        specs=_SPECS, scenarios=_WORKLOADS, seeds=(SEED, SEED + 1)
+        specs=_SPECS, scenarios=_WORKLOADS, seeds=(0, 1, SEED, SEED + 1)
     )
 
 
@@ -70,6 +72,7 @@ class TestShardMergeEquivalence:
         merged = run_sharded(
             small_grid(), num_shards, str(tmp_path)
         )
+        assert merged.ok, [c.error for c in merged.failures]
         assert merged.fingerprint() == unsharded.fingerprint()
         assert repr(merged.aggregate_metrics()) == repr(
             unsharded.aggregate_metrics()
@@ -398,10 +401,17 @@ class TestVectorizedInner:
         """``inner="vectorized"`` shards merge byte-identical to the
         fastpath-inner unsharded run (default policy is TRACK, where
         the engines promise bit-identical metrics)."""
-        merged = run_sharded(
-            small_grid(), 2, str(tmp_path), inner="vectorized"
-        )
+        path = compile_manifest(
+            small_grid(), 2, inner="vectorized"
+        ).save(str(tmp_path))
+        for shard in range(2):
+            run_shard(ShardManifest.load(path), shard, str(tmp_path))
+        merged = merge_shards(ShardManifest.load(path), str(tmp_path))
+        assert merged.ok, [c.error for c in merged.failures]
         assert merged.fingerprint() == unsharded.fingerprint()
+        assert repr(merged.aggregate_metrics()) == repr(
+            unsharded.aggregate_metrics()
+        )
 
     def test_vectorized_grid_matches_serial_fastpath(self, unsharded):
         swept = SweepBackend(

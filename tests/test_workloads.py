@@ -21,11 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import graphs
-from repro.graphs.instances import named_instance
 from repro.registry import get_algorithm
 from repro.verify.checker import check_d2_coloring
 from repro.workloads import (
     InstanceCache,
+    adhoc,
     build_corpus,
     build_large_corpus,
     get_workload,
@@ -33,7 +33,6 @@ from repro.workloads import (
     workload_names,
     workloads,
 )
-from repro.conformance.scenarios import Scenario
 
 #: The families this PR introduces; each name is a registered
 #: ``corpus``-tagged workload built by a new generator.
@@ -90,10 +89,10 @@ class TestRegistry:
         assert params["palette_slack"] == 2.0
         assert spec.params == tuple(sorted(params.items()))
 
-    def test_scenario_shim_builds_adhoc_specs(self):
+    def test_adhoc_builds_unregistered_specs(self):
         import networkx as nx
 
-        scenario = Scenario(
+        scenario = adhoc(
             "adhoc-path", lambda s: nx.path_graph(5), frozenset({"x"})
         )
         assert scenario.name == "adhoc-path"
@@ -105,14 +104,15 @@ class TestRegistry:
         )
 
     def test_named_instances_resolve_through_registry(self):
-        # Old spellings from graphs.instances.named_instance.
-        assert named_instance("c5").number_of_nodes() == 5
-        assert (
-            named_instance("hoffman_singleton").number_of_nodes() == 50
-        )
-        assert named_instance("pg2_3").number_of_nodes() == 26
+        def named(name):
+            return instance_cache().get(get_workload(name), 0).graph()
+
+        assert named("cycle5").number_of_nodes() == 5
+        assert named("hoffman-singleton").number_of_nodes() == 50
+        assert named("pg2_3").number_of_nodes() == 26
+        assert "pg2_3" in workload_names("named")
         try:
-            named_instance("nope")
+            get_workload("nope")
         except KeyError as exc:
             assert "pg2_3" in str(exc)
         else:  # pragma: no cover
@@ -303,15 +303,9 @@ class TestInstanceCache:
         """Two ad-hoc specs sharing a name never alias each other."""
         import networkx as nx
 
-        from repro.conformance.scenarios import Scenario
-
         cache = InstanceCache()
-        first = cache.get(
-            Scenario("x", lambda s: nx.path_graph(5)), 0
-        )
-        second = cache.get(
-            Scenario("x", lambda s: nx.cycle_graph(5)), 0
-        )
+        first = cache.get(adhoc("x", lambda s: nx.path_graph(5)), 0)
+        second = cache.get(adhoc("x", lambda s: nx.cycle_graph(5)), 0)
         assert first is not second
         assert first.digest() != second.digest()
         assert len(second.graph().edges) == 5  # really the cycle
