@@ -5,8 +5,8 @@ per graph node in lockstep rounds:
 
 1. every running program is resumed with its inbox and yields an
    outbox (``{neighbor: payload}`` or ``Broadcast``),
-2. the network validates each message (receiver must be a neighbor)
-   and meters its bit size against the bandwidth policy,
+2. each message is validated (receiver must be a neighbor) and its
+   bit size metered against the bandwidth policy,
 3. messages are delivered simultaneously; the next round begins.
 
 A program halts by returning; its return value becomes the node's
@@ -15,9 +15,14 @@ output.  The run ends when every program has halted, when the optional
 
 The round loop itself is pluggable: :meth:`Network.run` delegates to
 an execution backend from :mod:`repro.exec` (``reference`` by
-default; ``fastpath`` strips metering overhead on large instances).
-Backends differ only in mechanics — the delivered messages, outputs
-and round counts are identical.
+default).  ``reference`` and ``fastpath`` are one loop,
+:class:`~repro.exec.fastpath.GeneratorLoop`, under two sizing rules
+(``fastpath`` skips message sizing under an unbounded policy);
+``vectorized`` runs whole protocols as array kernels.  Backends differ
+only in mechanics — the delivered messages, outputs and round counts
+are identical.  The live generators and in-flight inboxes belong to
+the network, so a run that paused (``stop_when`` or a non-raising
+``max_rounds``) continues where it stopped on the next :meth:`run`.
 
 Node materialization is *lazy*: building n ``NodeProgram`` objects, n
 ``random.Random`` streams and n generator frames is pure overhead for
@@ -49,14 +54,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import networkx as nx
 
-from repro.congest.errors import (
-    BandwidthExceededError,
-    ProtocolViolationError,
-)
-from repro.congest.message import Broadcast, bit_size
-from repro.congest.metrics import RoundMetrics, RunMetrics
+from repro.congest.metrics import RunMetrics
 from repro.congest.node import NodeContext, NodeProgram
-from repro.congest.policy import BandwidthMode, BandwidthPolicy
+from repro.congest.policy import BandwidthPolicy
 from repro.congest.rng import derive_ints
 from repro.obs import trace as obs_trace
 
@@ -305,6 +305,9 @@ class Network:
         #: ({name: () -> dict}); non-empty only after a kernel run.
         self._vector_tables: Dict[str, Callable[[], Dict[int, Any]]] = {}
         self.outputs: Dict[int, Any] = {}
+        #: Messages sent in the last round driven, delivered at the
+        #: next resume — kept so a later run continues a paused one.
+        self._inboxes: Dict[int, Dict[int, Any]] = {}
         self._started = False
 
     # -- lazy materialization ------------------------------------------
@@ -387,6 +390,8 @@ class Network:
 
     @property
     def _generators(self) -> Dict[int, Any]:
+        """The live generators (halted nodes are removed as they
+        return)."""
         self.materialize()
         return self._gens
 
@@ -470,64 +475,6 @@ class Network:
             raise_on_timeout=raise_on_timeout,
             record_rounds=record_rounds,
         )
-
-    # ------------------------------------------------------------------
-
-    def _deliver(
-        self,
-        sender: int,
-        outbox: Any,
-        next_inboxes: Dict[int, Dict[int, Any]],
-        metrics: RunMetrics,
-        round_metrics: RoundMetrics,
-    ) -> None:
-        if outbox is None:
-            return
-        if isinstance(outbox, Broadcast):
-            payload = outbox.payload
-            bits = bit_size(payload)
-            self._meter(sender, "<all>", bits, metrics, round_metrics)
-            for receiver in self.contexts[sender].neighbors:
-                next_inboxes.setdefault(receiver, {})[sender] = payload
-            round_metrics.messages += len(self.contexts[sender].neighbors)
-            return
-        if not isinstance(outbox, dict):
-            raise ProtocolViolationError(
-                f"node {sender} yielded {type(outbox).__name__}; "
-                "expected dict or Broadcast"
-            )
-        if not outbox:
-            return
-        allowed = self._neighbor_sets[sender]
-        for receiver, payload in outbox.items():
-            if receiver not in allowed:
-                raise ProtocolViolationError(
-                    f"node {sender} sent to non-neighbor {receiver}"
-                )
-            bits = bit_size(payload)
-            self._meter(sender, receiver, bits, metrics, round_metrics)
-            next_inboxes.setdefault(receiver, {})[sender] = payload
-            round_metrics.messages += 1
-
-    def _meter(
-        self,
-        sender: int,
-        receiver: Any,
-        bits: int,
-        metrics: RunMetrics,
-        round_metrics: RoundMetrics,
-    ) -> None:
-        metrics.observe(bits)
-        round_metrics.bits += bits
-        if bits > round_metrics.max_message_bits:
-            round_metrics.max_message_bits = bits
-        if bits <= self._budget:
-            return
-        if self.policy.mode is BandwidthMode.STRICT:
-            raise BandwidthExceededError(sender, receiver, bits, self._budget)
-        if self.policy.mode is BandwidthMode.TRACK:
-            metrics.observe_violation(bits)
-        # UNBOUNDED: measured but never flagged.
 
 
 def run_protocol(

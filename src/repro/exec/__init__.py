@@ -2,13 +2,16 @@
 
 ``repro.exec`` decouples *what* a run means (the lockstep CONGEST
 semantics fixed by :class:`~repro.congest.network.Network`) from *how*
-it is executed.  Three engines ship by default:
+it is executed.  Four engines ship by default; the first two are one
+loop, :class:`~repro.exec.fastpath.GeneratorLoop`, under two message
+sizing rules:
 
 ``reference``
-    The original round-driven loop; semantic ground truth.
+    The lockstep generator loop with every message sized; semantic
+    ground truth.
 ``fastpath``
-    The same semantics with metering inlined and, under unbounded
-    policies, message sizing skipped — the engine for large instances.
+    The same loop, skipping message sizing under unbounded policies
+    — the engine for large instances.
 ``vectorized``
     Struct-of-arrays numpy kernels over CSR-form G/G² adjacency for
     the hottest program classes (trial/slack, Luby MIS), with
@@ -48,7 +51,7 @@ from repro.exec.base import (
     register_backend,
     use_backend,
 )
-from repro.exec.fastpath import FastpathBackend
+from repro.exec.fastpath import FastpathBackend, ReferenceBackend
 from repro.exec.fleet import (
     FleetStalledError,
     FleetTimeoutError,
@@ -60,7 +63,6 @@ from repro.exec.fleet import (
     run_fleet,
     run_fleet_worker,
 )
-from repro.exec.reference import ReferenceBackend
 from repro.exec.shards import (
     ShardIncompleteError,
     ShardManifest,

@@ -5,8 +5,9 @@ constructed :class:`~repro.congest.network.Network` to completion.
 The *semantics* of a run — which messages are sent, what every node
 outputs, how many rounds elapse — are fixed by the CONGEST model and
 must be identical across backends; a backend only chooses *how* the
-lockstep rounds are executed (straight loop, metering-free fast path,
-or a worker pool fanning out whole grids of runs).
+lockstep rounds are executed (the generator loop with or without
+message sizing under an unbounded policy, array kernels, or a worker
+pool fanning out whole grids of runs).
 
 Selection is layered so existing entry points need no code changes:
 

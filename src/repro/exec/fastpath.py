@@ -1,44 +1,46 @@
-"""The fastpath execution backend.
+"""The generator loop: the ``reference`` and ``fastpath`` backends.
 
-Same lockstep semantics as :class:`~repro.exec.reference`, executed
-with the per-round overhead stripped out of the hot loop:
+One lockstep loop, :class:`GeneratorLoop`, drives every node generator
+of a :class:`~repro.congest.network.Network`: each round it resumes
+the live programs with their inboxes, validates every outbox (a dict
+to neighbors or a ``Broadcast``; anything else raises
+:class:`~repro.congest.errors.ProtocolViolationError`) and delivers
+the messages simultaneously.  Metering is inlined into local
+accumulators, and neighbor adjacency is resolved once per run.
 
-- metering is inlined into local accumulators — no
-  :class:`~repro.congest.metrics.RoundMetrics` object, no ``_meter``
-  /``observe`` calls per message (one ``RunMetrics`` is filled in at
-  the end of the run);
-- neighbor adjacency is preallocated once per run as plain tuples, so
-  broadcast delivery is a tight loop over a cached array instead of
-  repeated context attribute lookups;
-- under an ``UNBOUNDED`` policy there is no bit budget to check, so
-  :func:`~repro.congest.message.bit_size` — the dominant per-message
-  cost, it walks every payload recursively — is skipped entirely.
+The two backends differ only in one sizing rule:
 
-The loop lives in :class:`GeneratorLoop`, a *resumable* driver: the
-vectorized backend's hybrid kernels run a program's array-friendly
-middle section as batched numpy work and use the same loop for the
-generator-executed prologue/epilogue, pausing at an exact round
-boundary (``run_until(bound)``) and resuming later with the round
-index and metering accumulators advanced by the array section.
+- under ``STRICT``/``TRACK`` policies both size every message with
+  :func:`~repro.congest.message.bit_size` and meter it against the
+  budget (``STRICT`` raises, ``TRACK`` counts violations);
+- under ``UNBOUNDED`` policies ``fastpath`` skips sizing — the dominant
+  per-message cost, it walks every payload recursively — so
+  ``total_bits``/``max_message_bits`` stay 0, while ``reference``
+  (and any ``record_rounds=True`` run) sizes every message but never
+  counts a violation.
 
-Guarantees (enforced by ``tests/test_backend_equivalence.py``):
-node outputs, round counts, halting/stopping status and error
-behaviour are identical to ``reference`` for every policy.  Under
-metered policies (``STRICT``/``TRACK``) the full ``RunMetrics`` are
-bit-for-bit identical too.  The one documented deviation: under
-``UNBOUNDED`` policies message *sizes* are not measured
-(``total_bits``/``max_message_bits`` stay 0; ``total_messages``,
-``rounds`` and outputs still match) — that is the point of the fast
-path, and nothing may depend on byte metering in a policy whose
-budget is explicitly infinite.
+``record_rounds=True`` adds one
+:class:`~repro.congest.metrics.RoundMetrics` per counted round, built
+at the round boundary from the accumulators.
 
-``record_rounds=True`` requests per-round metrics objects, which is
-exactly the bookkeeping this backend removes; such runs are delegated
-to ``reference``.
+The loop is *resumable*: it pauses at an exact round boundary
+(``run_until(bound)``) and continues later.  The vectorized backend's
+hybrid kernels use that to run a program's array-friendly middle
+section as batched numpy work between generator-executed sections.
+The live generators and the in-flight inboxes belong to the network,
+so a later :meth:`Network.run` continues exactly where the previous
+one stopped; round counts, ``max_rounds``, the ``stop_when`` round
+argument and metrics are per call.
+
+Stopping order: the ``stop_when`` monitor is consulted *before* the
+``max_rounds`` guard.  A protocol that reaches its stop condition on
+the exact final admissible round is reported as ``stopped_early``
+rather than conflated with non-termination.
 """
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Optional
 
@@ -48,7 +50,7 @@ from repro.congest.errors import (
     ProtocolViolationError,
 )
 from repro.congest.message import Broadcast, bit_size
-from repro.congest.metrics import RunMetrics
+from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.policy import BandwidthMode
 from repro.exec.base import ExecutionBackend
 from repro.obs import trace as obs_trace
@@ -63,30 +65,40 @@ HALTED = "halted"
 
 
 class GeneratorLoop:
-    """Resumable fastpath-style driver over a network's generators.
+    """Resumable lockstep driver over a network's generators.
 
-    Holds the full loop state across calls: live generators, in-flight
-    inboxes, the round index, and the metering accumulators.  A hybrid
-    kernel pauses the loop at a round boundary, executes a window of
-    rounds as array work (bumping :attr:`round_index`, :attr:`rounds`
-    and the accumulators itself), and resumes — the generators then
-    receive exactly the inboxes they would have seen.
+    The live generators and in-flight inboxes are the network's own,
+    so they survive across loops; the round index and the metering
+    accumulators belong to this loop (one :meth:`Network.run` call).
+    A hybrid kernel pauses the loop at a round boundary, executes a
+    window of rounds as array work (bumping :attr:`round_index`,
+    :attr:`rounds` and the accumulators itself), and resumes — the
+    generators then receive exactly the inboxes they would have seen.
+
+    ``sized`` sizes messages even under an ``UNBOUNDED`` policy (they
+    are always sized under ``STRICT``/``TRACK``); ``record_rounds``
+    collects one :class:`RoundMetrics` per counted round.
     """
 
-    def __init__(self, network):
+    def __init__(self, network, *, sized=False, record_rounds=False):
         network.materialize()
         self.network = network
         mode = network.policy.mode
-        self.metered = mode is not BandwidthMode.UNBOUNDED
+        self.metered = sized or mode is not BandwidthMode.UNBOUNDED
         self.strict = mode is BandwidthMode.STRICT
         self.budget = network._budget
+        # The size above which a message is a violation: none is ever
+        # counted under UNBOUNDED, sized or not.
+        self.limit = (
+            math.inf if mode is BandwidthMode.UNBOUNDED else self.budget
+        )
         # Preallocated adjacency: one tuple per node, resolved once.
         self.neighbors = {
             node: ctx.neighbors for node, ctx in network.contexts.items()
         }
         self.neighbor_sets = network._neighbor_sets
-        self.running = dict(network._generators)
-        self.inboxes: Dict[int, Dict[int, Any]] = {}
+        self.running = network._generators
+        self.per_round = [] if record_rounds else None
         #: True once the generators have received their first resume
         #: (a fresh generator must be sent None, not an inbox).
         self.primed = network._started
@@ -114,11 +126,13 @@ class GeneratorLoop:
         metered = self.metered
         strict = self.strict
         budget = self.budget
+        limit = self.limit
         neighbors = self.neighbors
         neighbor_sets = self.neighbor_sets
         outputs = network.outputs
         running = self.running
-        inboxes = self.inboxes
+        per_round = self.per_round
+        inboxes = network._inboxes
         primed = self.primed
         round_index = self.round_index
         rounds = self.rounds
@@ -127,6 +141,7 @@ class GeneratorLoop:
         max_message_bits = self.max_message_bits
         violations = self.violations
         worst_violation_bits = self.worst_violation_bits
+        round_max = 0
         status = HALTED
 
         try:
@@ -134,9 +149,8 @@ class GeneratorLoop:
                 if bound is not None and round_index >= bound:
                     status = PAUSED
                     break
-                # Monitor before timeout (same order as reference): a
-                # stop condition reached on the final round is an
-                # early stop.
+                # Monitor before timeout: a stop condition reached on
+                # the final round is an early stop.
                 if stop_when is not None and stop_when(
                     network, round_index
                 ):
@@ -154,6 +168,8 @@ class GeneratorLoop:
                 next_inboxes: Dict[int, Dict[int, Any]] = {}
                 halted_now = []
                 round_messages = 0
+                round_bits0 = total_bits
+                round_max = 0
 
                 for node, gen in running.items():
                     try:
@@ -174,9 +190,9 @@ class GeneratorLoop:
                         if metered:
                             bits = bit_size(payload)
                             total_bits += bits
-                            if bits > max_message_bits:
-                                max_message_bits = bits
-                            if bits > budget:
+                            if bits > round_max:
+                                round_max = bits
+                            if bits > limit:
                                 if strict:
                                     raise BandwidthExceededError(
                                         node, "<all>", bits, budget
@@ -185,8 +201,7 @@ class GeneratorLoop:
                                 if bits > worst_violation_bits:
                                     worst_violation_bits = bits
                         # One metered message fanned out to all
-                        # neighbors (matches reference: a broadcast
-                        # counts once).
+                        # neighbors: a broadcast counts once.
                         total_messages += 1
                         nbrs = neighbors[node]
                         for receiver in nbrs:
@@ -215,9 +230,9 @@ class GeneratorLoop:
                         if metered:
                             bits = bit_size(payload)
                             total_bits += bits
-                            if bits > max_message_bits:
-                                max_message_bits = bits
-                            if bits > budget:
+                            if bits > round_max:
+                                round_max = bits
+                            if bits > limit:
                                 if strict:
                                     raise BandwidthExceededError(
                                         node, receiver, bits, budget
@@ -239,21 +254,35 @@ class GeneratorLoop:
                 for node in halted_now:
                     del running[node]
                 inboxes = next_inboxes
-                # Trailing halt-only resumes are local computation, not
-                # a communication round (same accounting as reference).
+                if round_max > max_message_bits:
+                    max_message_bits = round_max
+                # A trailing resume in which every remaining program
+                # halts without sending is local computation, not a
+                # communication round: a node that receives in round r
+                # and then returns has round complexity r.  (This also
+                # makes genuinely zero-round protocols report 0.)
                 if running or round_messages > 0:
                     rounds += 1
+                    if per_round is not None:
+                        per_round.append(
+                            RoundMetrics(
+                                round_index,
+                                round_messages,
+                                total_bits - round_bits0,
+                                round_max,
+                            )
+                        )
                 round_index += 1
         finally:
+            network._inboxes = inboxes
             self.primed = primed
             self.round_index = round_index
             self.rounds = rounds
             self.total_messages = total_messages
             self.total_bits = total_bits
-            self.max_message_bits = max_message_bits
+            self.max_message_bits = max(max_message_bits, round_max)
             self.violations = violations
             self.worst_violation_bits = worst_violation_bits
-            self.inboxes = inboxes
         return status
 
     def result(self):
@@ -269,6 +298,7 @@ class GeneratorLoop:
             budget_bits=self.budget,
             violations=self.violations,
             worst_violation_bits=self.worst_violation_bits,
+            per_round=self.per_round or [],
         )
         return RunResult(
             outputs=dict(self.network.outputs),
@@ -279,9 +309,11 @@ class GeneratorLoop:
 
 
 class FastpathBackend(ExecutionBackend):
-    """Metering-light lockstep executor for large instances."""
+    """Lockstep executor that skips message sizing under UNBOUNDED."""
 
     name = "fastpath"
+    #: Size messages under an ``UNBOUNDED`` policy too.
+    sizes_unbounded = False
 
     def execute(
         self,
@@ -292,19 +324,13 @@ class FastpathBackend(ExecutionBackend):
         raise_on_timeout: bool = True,
         record_rounds: bool = False,
     ):
-        if record_rounds:
-            from repro.exec import get_backend
-
-            return get_backend("reference").execute(
-                network,
-                max_rounds=max_rounds,
-                stop_when=stop_when,
-                raise_on_timeout=raise_on_timeout,
-                record_rounds=True,
-            )
         rec = obs_trace.recorder()
         trace_t0 = rec.clock() if rec is not None else 0.0
-        loop = GeneratorLoop(network)
+        loop = GeneratorLoop(
+            network,
+            sized=self.sizes_unbounded or record_rounds,
+            record_rounds=record_rounds,
+        )
         loop.run_until(
             None,
             max_rounds=max_rounds,
@@ -324,3 +350,11 @@ class FastpathBackend(ExecutionBackend):
                 },
             )
         return loop.result()
+
+
+class ReferenceBackend(FastpathBackend):
+    """The semantic ground truth: every message is sized, whatever the
+    policy, so ``UNBOUNDED`` runs still report their bits."""
+
+    name = "reference"
+    sizes_unbounded = True

@@ -6,12 +6,12 @@ liveness, MIS state) and every round is a batch of array operations
 over the CSR-form G/G² adjacency from :mod:`repro.exec.arrays` —
 there is no per-node generator dispatch in the hot loop at all.
 
-Semantics are *identical* to ``reference``/``fastpath`` — same
-outputs, same round counts, same per-node RNG consumption (kernels
-draw from the very same per-node streams the generators would), and
-bit-identical ``RunMetrics`` under metered policies.  Like fastpath,
-UNBOUNDED runs skip message *sizing* (``total_bits``/
-``max_message_bits`` stay 0).
+Semantics are *identical* to the generator loop behind ``reference``
+and ``fastpath`` — same outputs, same round counts, same per-node RNG
+consumption (kernels draw from the very same per-node streams the
+generators would), and bit-identical ``RunMetrics`` under metered
+policies.  Like fastpath, UNBOUNDED runs skip message *sizing*
+(``total_bits``/``max_message_bits`` stay 0).
 
 Kernels run only on networks whose Python nodes have not been built,
 off the :class:`~repro.congest.network.NetworkPlan` — the CSR

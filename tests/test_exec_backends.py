@@ -165,16 +165,32 @@ class TestFastpathParity:
         )
         assert ref.metrics.violations > 0  # oversize tracked on both
 
-    def test_record_rounds_delegates_to_reference(self):
+    @pytest.mark.parametrize(
+        "policy",
+        [BandwidthPolicy.track(), BandwidthPolicy.unbounded()],
+        ids=["track", "unbounded"],
+    )
+    @pytest.mark.parametrize("backend", ROUND_BACKENDS)
+    def test_record_rounds_builds_one_record_per_round(
+        self, backend, policy
+    ):
         def proto(ctx):
             yield {v: ("a",) for v in ctx.neighbors}
+            yield {v: ("b", tuple(range(40))) for v in ctx.neighbors}
             yield {}
             return None
 
-        net = Network(nx.path_graph(2), proto_factory(proto))
-        result = net.run(record_rounds=True, backend="fastpath")
-        assert len(result.metrics.per_round) == result.metrics.rounds
-        assert result.metrics.per_round[0].messages == 2
+        net = Network(nx.path_graph(2), proto_factory(proto), policy=policy)
+        metrics = net.run(record_rounds=True, backend=backend).metrics
+        per_round = metrics.per_round
+        assert len(per_round) == metrics.rounds == 3
+        assert metrics.total_bits > 0
+        assert sum(r.bits for r in per_round) == metrics.total_bits
+        assert (
+            max(r.max_message_bits for r in per_round)
+            == metrics.max_message_bits
+        )
+        assert per_round[0].messages == 2
 
     @pytest.mark.parametrize("backend", ROUND_BACKENDS)
     def test_rounds_accounting_parity(self, backend):
@@ -202,6 +218,51 @@ class TestFastpathParity:
             ).metrics.rounds
             == 1
         )
+
+
+class TestResume:
+    """The live generators and in-flight inboxes survive across
+    :meth:`Network.run` calls; round counts and metrics are per call."""
+
+    @staticmethod
+    def _network():
+        # Node v listens for v + 1 rounds and returns what it heard, so
+        # node 0 halts before a pause at round 2 and the others need
+        # the messages in flight at the pause.
+        def chatter(ctx):
+            heard = []
+            for r in range(ctx.node + 1):
+                inbox = yield {v: (r,) for v in ctx.neighbors}
+                heard.append(tuple(sorted(inbox.items())))
+            return tuple(heard)
+
+        return Network(nx.path_graph(4), proto_factory(chatter))
+
+    @pytest.mark.parametrize("backend", ["reference", "fastpath"])
+    def test_paused_run_resumes_and_halted_run_stays_halted(
+        self, backend
+    ):
+        one_shot = self._network().run(backend=backend)
+        assert one_shot.halted
+
+        net = self._network()
+        first = net.run(
+            backend=backend, max_rounds=2, raise_on_timeout=False
+        )
+        assert not first.halted
+        rest = net.run(backend=backend)
+        assert rest.halted
+        assert rest.outputs == one_shot.outputs
+        assert first.rounds + rest.rounds == one_shot.rounds
+        assert (
+            first.metrics.total_messages + rest.metrics.total_messages
+            == one_shot.metrics.total_messages
+        )
+
+        again = net.run(backend=backend)
+        assert again.halted
+        assert again.rounds == 0
+        assert again.outputs == one_shot.outputs
 
 
 class TestSweepBackend:

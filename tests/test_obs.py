@@ -16,8 +16,13 @@ shard merges, and the ``python -m repro.obs`` report CLI.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro import registry as algo_registry
 from repro.congest.metrics import RunMetrics
@@ -338,6 +343,45 @@ class TestTracingNeverPerturbs:
         assert "exec.run" in names or "exec.kernel" in names
 
 
+class TestTracedShardedSweep:
+    """A 2-shard traced sweep yields a schema-valid trace and merges to
+    the untraced run's fingerprint."""
+
+    def test_traced_shards_validate_and_match_the_untraced_run(
+        self, tmp_path
+    ):
+        specs = [
+            algo_registry.get_algorithm(n)
+            for n in ("trial", "deterministic-d2", "greedy-oracle")
+        ]
+        corpus = [
+            get_workload(n) for n in ("gnp24", "relay3x4", "powerlaw24")
+        ]
+        cells = grid_cells(specs=specs, scenarios=corpus, seeds=(0, 1))
+        untraced = SweepBackend(executor="serial").run_grid(cells)
+
+        manifest = compile_manifest(cells, 2, inner="vectorized")
+        path = manifest.save(str(tmp_path))
+        enable(str(tmp_path / "trace") + "/")
+        try:
+            for shard in range(2):
+                run_shard(ShardManifest.load(path), shard, str(tmp_path))
+            sample_peak_rss()
+            recorder().metrics(registry().snapshot())
+        finally:
+            disable()
+        merged = merge_shards(ShardManifest.load(path), str(tmp_path))
+        records = read_trace(str(tmp_path / "trace"))
+
+        assert merged.ok, [c.error for c in merged.failures]
+        assert merged.fingerprint() == untraced.fingerprint(), (
+            "tracing perturbed the merge fingerprint"
+        )
+        assert validate_trace(records) == []
+        names = {r.get("name") for r in iter_spans(records)}
+        assert "shard.run" in names and "sweep.cell" in names, names
+
+
 # ----------------------------------------------------------------------
 # the metrics registry
 
@@ -592,3 +636,43 @@ class TestObsCli:
         missing = str(tmp_path / "nope.jsonl")
         assert obs_main(["summary", missing]) == 2
         assert capsys.readouterr().err
+
+
+class TestObsCliOnARealTrace:
+    """The report CLI renders the trace directory of a real serial
+    sweep, in process and through ``python -m repro.obs``."""
+
+    VIEWS = ("validate", "summary", "phases", "cache")
+
+    @pytest.fixture()
+    def trace_dir(self, tmp_path):
+        cells = grid_cells(
+            specs=[algo_registry.get_algorithm("trial")],
+            scenarios=[get_workload("gnp24")],
+            seeds=(0, 1),
+        )
+        enable(str(tmp_path) + "/")
+        try:
+            SweepBackend(executor="serial").run_grid(cells)
+            recorder().metrics(registry().snapshot())
+        finally:
+            disable()
+        return str(tmp_path)
+
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_view_renders(self, trace_dir, view, capsys):
+        assert obs_main([view, trace_dir]) == 0
+        assert capsys.readouterr().out
+
+    def test_module_entry_point(self, trace_dir):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        subprocess.run(
+            [sys.executable, "-m", "repro.obs", "validate", trace_dir],
+            check=True,
+            env=env,
+            stdout=subprocess.DEVNULL,
+        )
