@@ -25,13 +25,14 @@ the network, so a run that paused (``stop_when`` or a non-raising
 ``max_rounds``) continues where it stopped on the next :meth:`run`.
 
 Node materialization is *lazy*: building n ``NodeProgram`` objects, n
-``random.Random`` streams and n generator frames is pure overhead for
-a run the vectorized backend executes entirely in arrays, so
-``__init__`` only validates and records the recipe.  The Python nodes
-are built on first access of :attr:`contexts`/:attr:`programs` (or
-explicitly via :meth:`materialize`); per-node RNG streams come from
-one bulk :func:`~repro.congest.rng.derive_ints` pass, bit-identical to
-the per-node derivation.  A run's end state is read through
+RNG streams and n generator frames is pure overhead for a run the
+vectorized backend executes entirely in arrays, so ``__init__`` only
+validates and records the recipe.  The Python nodes are built on first
+access of :attr:`contexts`/:attr:`programs` (or explicitly via
+:meth:`materialize`).  Node ``v`` draws from the keyed counter stream
+of :mod:`repro.congest.rng`: its keys come from one array pass, and a
+network that ran kernel draws first hands each node its stream at the
+counter the kernels left it.  A run's end state is read through
 :meth:`node_colors`/:meth:`node_table`: from the programs after a
 generator run, from the tables a whole-run kernel published after a
 kernel run.  Such a network never builds its programs (fresh ones
@@ -48,16 +49,15 @@ early, e.g. once every node is colored, and is reported as such.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 import networkx as nx
 
 from repro.congest.metrics import RunMetrics
 from repro.congest.node import NodeContext, NodeProgram
 from repro.congest.policy import BandwidthPolicy
-from repro.congest.rng import derive_ints
+from repro.congest.rng import CounterStreams, node_keys
 from repro.obs import trace as obs_trace
 
 _EMPTY_INPUT: Dict[str, Any] = {}
@@ -95,56 +95,6 @@ class UniformInputs(Mapping):
         return len(self._nodes)
 
 
-class LazyDraws:
-    """Per-node ``randrange`` streams without n live RNG objects.
-
-    ``plan.rngs()`` keeps one ``random.Random`` per node (~2.5 KB
-    each — gigabytes at n = 2²⁰) even though a kernel run draws from
-    most nodes exactly once.  This draws on-stream at O(1) retained
-    state per *re-drawing* node: the first draw of a node creates its
-    ``Random``, draws, and discards it; a second draw recreates the
-    stream, replays the recorded first draw, and keeps the object
-    (few nodes ever reach a second draw at corpus densities).
-
-    Replay is exact for arbitrary per-draw bounds: only the first
-    draw is ever replayed, and its bound is recorded.
-    """
-
-    __slots__ = ("_seeds", "_counts", "_bounds", "_kept")
-
-    def __init__(self, seeds: List[int]):
-        self._seeds = seeds
-        self._counts: Dict[int, int] = {}
-        self._bounds: Dict[int, int] = {}
-        self._kept: Dict[int, random.Random] = {}
-
-    def randrange(self, i: int, bound: int) -> int:
-        """The next ``randrange(bound)`` of node index ``i`` —
-        bit-identical to ``plan.rngs()[i].randrange(bound)``."""
-        rng = self._kept.get(i)
-        if rng is None:
-            rng = random.Random(self._seeds[i])
-            count = self._counts.get(i, 0)
-            if count:
-                rng.randrange(self._bounds[i])
-                self._kept[i] = rng
-            else:
-                self._bounds[i] = bound
-            self._counts[i] = count + 1
-        return rng.randrange(bound)
-
-    def rng(self, i: int) -> random.Random:
-        """The advanced stream of node index ``i`` (reconstructed and
-        retained if its only draws were discarded)."""
-        rng = self._kept.get(i)
-        if rng is None:
-            rng = random.Random(self._seeds[i])
-            if self._counts.get(i, 0):
-                rng.randrange(self._bounds[i])
-            self._kept[i] = rng
-        return rng
-
-
 @dataclass
 class RunResult:
     """Outcome of one :meth:`Network.run` execution."""
@@ -164,78 +114,58 @@ class NetworkPlan:
 
     Everything a kernel needs without touching Python node objects:
     the CSR G/G² adjacency (shared with :meth:`Instance.csr`), the
-    dense node order, per-node input dicts, and the per-node RNG
-    streams — derived in one bulk hashing pass and *shared* with any
-    later materialization, so array draws and generator draws always
-    advance the same ``random.Random`` objects.
+    dense node order, per-node input dicts, and the per-node keyed
+    counter streams (:class:`~repro.congest.rng.CounterStreams`) —
+    the very streams the node programs hold once the network
+    materializes, so array draws and generator draws never diverge.
     """
 
-    __slots__ = ("network", "csr", "_seeds", "_rngs", "_lazy")
+    __slots__ = ("network", "csr", "_streams")
 
     def __init__(self, network: "Network", csr):
         self.network = network
         self.csr = csr
-        self._seeds: Optional[List[int]] = None
-        self._rngs: Optional[List[random.Random]] = None
-        self._lazy: Optional[LazyDraws] = None
+        self._streams: Optional[CounterStreams] = None
 
     @property
     def order(self):
         """Dense node order (sorted labels) shared with the CSR."""
         return self.csr.order
 
-    def rng_seeds(self) -> List[int]:
-        """Per-node 64-bit RNG seeds, aligned with :attr:`order`."""
-        if self._seeds is None:
+    def streams(self) -> CounterStreams:
+        """Per-node stream keys and counters, aligned with
+        :attr:`order` (the keys derived in one array pass)."""
+        if self._streams is None:
             rec = obs_trace.recorder()
             trace_t0 = rec.clock() if rec is not None else 0.0
-            self._seeds = derive_ints(
-                self.network._seed, "node", self.order
+            self._streams = CounterStreams(
+                node_keys(self.network._seed, self.order)
             )
             if rec is not None:
                 rec.complete(
-                    "plan.bulk_rng",
-                    trace_t0,
-                    {"n": len(self._seeds)},
+                    "plan.bulk_rng", trace_t0, {"n": self.csr.n}
                 )
-        return self._seeds
+        return self._streams
 
-    def rngs(self) -> List[random.Random]:
-        """Per-node RNG streams, aligned with :attr:`order`.
+    def randrange(self, idx, bounds):
+        """``rng.randrange(bound)`` of each dense index in ``idx``
+        (distinct), in one array pass.
 
-        The same objects end up in ``contexts[v].rng`` if the network
-        materializes later, so kernel draws stay on-stream — draws
-        consumed through :meth:`lazy_draws` included (the lazy
-        scheme reconstructs each advanced stream exactly).
+        On a materialized network the programs' scalar streams are the
+        live state: their counters are read before the draw and
+        written back after it.
         """
-        if self._rngs is None:
-            contexts = self.network._contexts
-            if contexts is not None:
-                # Built before this plan: adopt the live streams.
-                self._rngs = [contexts[v].rng for v in self.order]
-            elif self._lazy is not None:
-                self._rngs = [
-                    self._lazy.rng(i) for i in range(self.csr.n)
-                ]
-            else:
-                self._rngs = [
-                    random.Random(s) for s in self.rng_seeds()
-                ]
-        return self._rngs
-
-    def lazy_draws(self) -> LazyDraws:
-        """O(1)-retained-state per-node draw streams (see
-        :class:`LazyDraws`) — what kernels use instead of
-        :meth:`rngs` so an unmaterialized million-node run never
-        holds a million ``random.Random`` objects."""
-        if self._rngs is not None or self.network.materialized:
-            # Streams already exist: lazy draws must advance them.
-            lazy = LazyDraws(self.rng_seeds())
-            lazy._kept = dict(enumerate(self.rngs()))
-            return lazy
-        if self._lazy is None:
-            self._lazy = LazyDraws(self.rng_seeds())
-        return self._lazy
+        streams = self.streams()
+        contexts = self.network._contexts
+        if contexts is None:
+            return streams.randrange(idx, bounds)
+        order = self.order
+        rngs = [contexts[order[i]].rng for i in idx.tolist()]
+        streams.counters[idx] = [rng.counter for rng in rngs]
+        out = streams.randrange(idx, bounds)
+        for rng, counter in zip(rngs, streams.counters[idx].tolist()):
+            rng.counter = counter
+        return out
 
     def input_for(self, node: int) -> Dict[str, Any]:
         """The (unmaterialized) input dict of ``node``; never copied,
@@ -338,20 +268,13 @@ class Network:
         graph = self.graph
         inputs = self._inputs
         if self._plan is not None:
-            # Reuse the plan's RNG objects: kernel draws already
+            # Start from the plan's counters: kernel draws already
             # advanced them, so generator draws continue on-stream.
-            rng_of = dict(zip(self._plan.order, self._plan.rngs()))
+            order, streams = self._plan.order, self._plan.streams()
         else:
-            nodes = list(graph.nodes)
-            rng_of = dict(
-                zip(
-                    nodes,
-                    (
-                        random.Random(s)
-                        for s in derive_ints(self._seed, "node", nodes)
-                    ),
-                )
-            )
+            order = list(graph.nodes)
+            streams = CounterStreams(node_keys(self._seed, order))
+        rng_of = dict(zip(order, streams.scalars()))
         contexts: Dict[int, NodeContext] = {}
         programs: Dict[int, NodeProgram] = {}
         gens: Dict[int, Any] = {}

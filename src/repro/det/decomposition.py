@@ -56,21 +56,6 @@ class NetworkDecomposition:
             classes.setdefault(color, []).append(cluster)
         return classes
 
-    def max_diameter(self, graph: nx.Graph) -> int:
-        """Maximum weak diameter (distance in G) over clusters."""
-        worst = 0
-        for nodes in self.members.values():
-            if len(nodes) <= 1:
-                continue
-            source = nodes[0]
-            lengths = nx.single_source_shortest_path_length(
-                graph, source
-            )
-            worst = max(
-                worst, max(lengths[v] for v in nodes if v in lengths)
-            )
-        return worst
-
     def validate(self, graph: nx.Graph) -> bool:
         """Same-color clusters must be > k apart in G (property iii
         of Definition A.1); the partition must cover every node."""

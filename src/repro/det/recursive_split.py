@@ -64,12 +64,6 @@ class RecursiveSplit:
     level_results: List[SplittingResult] = field(default_factory=list)
     charged_rounds: int = 0
 
-    def part_members(self) -> Dict[int, List[int]]:
-        members: Dict[int, List[int]] = {}
-        for v, part in self.parts.items():
-            members.setdefault(part, []).append(v)
-        return members
-
 
 def measured_max_part_degree(
     graph: nx.Graph, parts: Dict[int, int]

@@ -242,7 +242,9 @@ def run_cell(cell: SweepCell, inner: str = "fastpath") -> CellResult:
     """Execute one cell (module-level, so process pools can pickle it).
 
     Exceptions become ``error`` fields rather than poisoning the whole
-    grid — a sweep is a survey, not an assertion.
+    grid — a sweep is a survey, not an assertion.  So does a run that
+    ended (at its round cap) with nodes still uncolored: its result is
+    kept, with ``error`` naming the uncolored count.
     """
     from repro import registry
 
@@ -279,6 +281,7 @@ def run_cell(cell: SweepCell, inner: str = "fastpath") -> CellResult:
                 error=f"{type(exc).__name__}: {exc}",
             )
         )
+    uncolored = sum(c is None for c in result.coloring.values())
     return traced(
         CellResult(
             algorithm=cell.algorithm,
@@ -289,6 +292,12 @@ def run_cell(cell: SweepCell, inner: str = "fastpath") -> CellResult:
             rounds=result.rounds,
             metrics=result.metrics,
             coloring=tuple(sorted(result.coloring.items())),
+            error=(
+                f"incomplete: {uncolored} nodes uncolored after "
+                f"{result.rounds} rounds"
+                if uncolored
+                else None
+            ),
         )
     )
 

@@ -15,7 +15,8 @@ policies.  Like fastpath, UNBOUNDED runs skip message *sizing*
 
 Kernels run only on networks whose Python nodes have not been built,
 off the :class:`~repro.congest.network.NetworkPlan` — the CSR
-adjacency plus bulk-derived RNG streams — and never build a node
+adjacency plus the per-node keyed counter streams, drawn in one numpy
+pass per phase (:mod:`repro.congest.rng`) — and never build a node
 object: a whole-run kernel publishes the end state as node tables
 (``color``, ``phases_tried``, ``blocked_phases``, ``state``,
 ``phases``, ``phase_log``) read through ``Network.node_colors()``/
@@ -23,9 +24,10 @@ object: a whole-run kernel publishes the end state as node tables
 afterwards.  The hybrid kernel (the randomized d2-color pipeline)
 executes the array-friendly try-phase window as batched numpy work and
 drives the surrounding protocol sections through the resumable
-:class:`~repro.exec.fastpath.GeneratorLoop`, building the programs only
-when a generator section really has to run and writing the window's
-state into them at that handoff.
+:class:`~repro.exec.fastpath.GeneratorLoop` (each section its own
+``exec.run`` trace span), building the programs only when a generator
+section really has to run and writing the window's state into them at
+that handoff.
 
 Coverage is per program class, not per call site:
 
@@ -510,10 +512,6 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
             ):
                 return None  # negative breaks the -1 sentinel
             colors[i] = color
-    # Lazy per-node streams: a million-node run never holds a million
-    # Random objects (see NetworkPlan.lazy_draws).
-    draw_one = plan.lazy_draws().randrange
-
     metered = network.policy.mode is not BandwidthMode.UNBOUNDED
     meter = _Meter(metered)
     if not meter.fits(int(palettes.max()) - 1, network._budget):
@@ -523,10 +521,7 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
 
     def draw(_phase, live_idx):
         phases_tried[live_idx] += 1
-        return [
-            draw_one(i, int(palettes[i]))
-            for i in live_idx.tolist()
-        ]
+        return plan.randrange(live_idx, palettes[live_idx])
 
     st = _TryState(n, colors)
     r, rounds, status = _run_try_phases(
@@ -1206,7 +1201,6 @@ def _naive_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     inputs = [plan.input_for(v) for v in order]
     colors_in = [data.get("color") for data in inputs]
     config = _shared(inputs, ("palette", "relay_rounds", "per_message"))
-    draw_one = plan.lazy_draws().randrange
     if config is None or not all(_is_int(x) for x in config):
         return None
     palette, relay_rounds, per_message = config
@@ -1282,15 +1276,8 @@ def _naive_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
                 )
                 free = ~used
                 nfree = palette - used.sum(axis=1)
-                draws = np.array(
-                    [
-                        draw_one(i, b)
-                        for i, b in zip(
-                            rows.tolist(),
-                            np.where(nfree > 0, nfree, palette).tolist(),
-                        )
-                    ],
-                    dtype=np.int64,
+                draws = plan.randrange(
+                    rows, np.where(nfree > 0, nfree, palette)
                 )
                 kth = (np.cumsum(free, axis=1) > draws[:, None]).argmax(
                     axis=1
@@ -1335,6 +1322,28 @@ def _naive_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     )
 
 
+def _traced_run_until(loop, bound, **kwargs):
+    """``loop.run_until`` as its own ``exec.run`` span (backend
+    ``fastpath``), so self-time attribution charges the generator
+    rounds of a hybrid run to the loop, not to ``exec.kernel``."""
+    rec = obs_trace.recorder()
+    if rec is None:
+        return loop.run_until(bound, **kwargs)
+    trace_t0 = rec.clock()
+    rounds0 = loop.rounds
+    status = loop.run_until(bound, **kwargs)
+    rec.complete(
+        "exec.run",
+        trace_t0,
+        {
+            "backend": "fastpath",
+            "rounds": loop.rounds - rounds0,
+            "halted": not loop.running,
+        },
+    )
+    return status
+
+
 # ----------------------------------------------------------------------
 # randomized d2-color (improved + basic): hybrid — the c0·log n
 # random-trials section runs as arrays, everything else as generators
@@ -1349,7 +1358,7 @@ def _randomized_d2_kernel(
     """Hybrid :class:`RandomizedD2Program` executor.
 
     ``improved``: the trials section is a prefix — rounds ``[0, 3T)``
-    run as arrays off the :class:`NetworkPlan` (lazy per-node draws,
+    run as arrays off the :class:`NetworkPlan` (counter-stream draws,
     no Python nodes).  A run that stops or times out inside that
     window ends there and publishes its end-state through the
     ``color``/``phase_log`` node tables; only a completed window with
@@ -1424,7 +1433,8 @@ def _randomized_d2_kernel(
     loop = None
     if prologue:
         loop = GeneratorLoop(network)  # materializes the nodes
-        status = loop.run_until(
+        status = _traced_run_until(
+            loop,
             prologue,
             max_rounds=max_rounds,
             stop_when=stop_when,
@@ -1439,12 +1449,9 @@ def _randomized_d2_kernel(
     # --- the trials window, as arrays -----------------------------
     # Programs adopt no colors before their trials section, so the
     # window starts from a blank color state; draws continue on the
-    # very same per-node streams the prologue advanced (lazy_draws
-    # wraps them once built).
-    draw_one = plan.lazy_draws().randrange
-
+    # very same per-node streams the prologue advanced.
     def draw(_phase, live_idx):
-        return [draw_one(i, palette) for i in live_idx.tolist()]
+        return plan.randrange(live_idx, palette)
 
     st = _TryState(n)
     colors, adopt_iter = st.colors, st.adopt_iter
@@ -1528,7 +1535,8 @@ def _randomized_d2_kernel(
             for j in row[last[row]].tolist()
         }
         programs[node]._kernel_prefix = (3 * trials, adopts)
-    loop.run_until(
+    _traced_run_until(
+        loop,
         None,
         max_rounds=max_rounds,
         stop_when=stop_when,
@@ -1564,7 +1572,6 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     order = csr.order
 
     ks = {plan.input_for(v).get("k") for v in order}
-    draw_one = plan.lazy_draws().randrange
     if len(ks) != 1:
         return None
     k = ks.pop()
@@ -1657,11 +1664,9 @@ def _luby_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
                 break
             phases += 1
             own.fill(-1)
-            n3 = n**3
-            own[live_idx] = [
-                draw_one(i, n3) * n + int(labels[i])
-                for i in live_idx.tolist()
-            ]
+            own[live_idx] = (
+                plan.randrange(live_idx, n**3) * n + labels[live_idx]
+            )
             best = own.copy()
         if pos < k:
             # flood round: every node broadcasts (K, best)

@@ -1,16 +1,24 @@
 """Tests for RNG derivation, bandwidth policy, and result types."""
 
+import pickle
+
+import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest.metrics import RunMetrics
+from repro.congest.network import Network
+from repro.congest.node import FunctionProgram
 from repro.congest.policy import BandwidthMode, BandwidthPolicy
 from repro.congest.rng import (
+    CounterRandom,
+    CounterStreams,
     derive_int,
-    derive_ints,
     derive_rng,
-    derive_uniforms,
+    mix64,
+    node_keys,
 )
 from repro.results import ColoringResult
 
@@ -46,41 +54,175 @@ class TestRng:
         assert a == b
 
 
-class TestBulkRng:
-    """The bulk derivations must be bit-identical to the scalar ones —
-    the vectorized kernels and ``Network.__init__`` rely on it."""
+_BOUNDS = st.one_of(
+    st.sampled_from([1, 2, 3, 2**63 - 1]),
+    st.integers(0, 62).map(lambda k: 2**k),
+    st.integers(0, 62).map(lambda k: 2**k + 1),
+)
 
-    @given(seed=_labels, label=_labels, n=st.integers(0, 48))
-    @settings(max_examples=150)
-    def test_derive_ints_matches_scalar_over_count(
-        self, seed, label, n
-    ):
-        assert derive_ints(seed, label, n) == [
-            derive_int(seed, label, item) for item in range(n)
-        ]
+
+def _pair(seed, nodes):
+    """The numpy and the scalar form of the same node streams."""
+    keys = node_keys(seed, nodes)
+    return CounterStreams(keys), [CounterRandom(k) for k in keys.tolist()]
+
+
+class TestCounterStreams:
+    """The numpy form (kernels) and the scalar form (node programs)
+    must yield identical sequences — kernels and generators share one
+    stream per node across the hybrid handoff."""
 
     @given(
         seed=_labels,
-        label=_labels,
-        items=st.lists(_labels, max_size=16),
+        nodes=st.lists(
+            st.integers(-(2**70), 2**70), min_size=1, max_size=8,
+            unique=True,
+        ),
+        data=st.data(),
     )
     @settings(max_examples=150)
-    def test_derive_ints_matches_scalar_over_items(
-        self, seed, label, items
-    ):
-        assert derive_ints(seed, label, items) == [
-            derive_int(seed, label, item) for item in items
-        ]
+    def test_randrange_matches_scalar(self, seed, nodes, data):
+        streams, scalars = _pair(seed, nodes)
+        for _ in range(3):
+            bounds = data.draw(
+                st.lists(_BOUNDS, min_size=len(nodes), max_size=len(nodes))
+            )
+            idx = np.arange(len(nodes))
+            got = streams.randrange(idx, np.array(bounds, dtype=np.uint64))
+            want = [rng.randrange(b) for rng, b in zip(scalars, bounds)]
+            assert got.tolist() == want
+        assert streams.counters.tolist() == [r.counter for r in scalars]
 
-    @given(seed=_labels, label=_labels, n=st.integers(0, 32))
-    @settings(max_examples=50)
-    def test_derive_uniforms_scales_derive_ints(self, seed, label, n):
-        uniforms = derive_uniforms(seed, label, n)
-        ints = derive_ints(seed, label, n)
-        assert len(uniforms) == n
-        for value, raw in zip(uniforms, ints):
-            assert value == raw / 2.0**64
-            assert 0.0 <= value < 1.0
+    @given(seed=_labels, bound=_BOUNDS, n=st.integers(1, 16))
+    @settings(max_examples=100)
+    def test_scalar_bound_broadcasts(self, seed, bound, n):
+        streams, scalars = _pair(seed, range(n))
+        got = streams.randrange(np.arange(n), bound)
+        assert got.tolist() == [rng.randrange(bound) for rng in scalars]
+
+    @pytest.mark.parametrize("k", [0, 1, 53, 64, 65, 128])
+    @given(seed=_labels, n=st.integers(1, 6))
+    @settings(max_examples=25)
+    def test_getrandbits_is_top_bits_of_words(self, k, seed, n):
+        """``getrandbits(k)`` is the top ``k`` bits of the next
+        ``⌈k/64⌉`` words, read big-endian."""
+        streams, scalars = _pair(seed, range(n))
+        idx = np.arange(n)
+        nwords = -(-k // 64)
+        for _ in range(2):
+            values = [0] * n
+            for _ in range(nwords):
+                words = streams.words(idx).tolist()
+                values = [(v << 64) | w for v, w in zip(values, words)]
+            want = [v >> (64 * nwords - k) for v in values]
+            assert [rng.getrandbits(k) for rng in scalars] == want
+            assert all(0 <= v < 2**k for v in want)
+        assert streams.counters.tolist() == [r.counter for r in scalars]
+
+    @given(seed=_labels, ops=st.lists(
+        st.sampled_from(["random", "choice", "sample", "shuffle"]),
+        max_size=12,
+    ))
+    @settings(max_examples=100)
+    def test_interleaved_methods_match_numpy_draws(self, seed, ops):
+        """The inherited stdlib methods consume the words exactly as
+        their documented ``_randbelow`` loops over the numpy form."""
+        streams, (rng,) = _pair(seed, [7])
+        idx = np.array([0])
+
+        def below(bound):
+            return int(streams.randrange(idx, bound)[0])
+
+        for op in ops:
+            if op == "random":
+                word = int(streams.words(idx)[0])
+                assert rng.random() == (word >> 11) * 2.0**-53
+            elif op == "choice":
+                seq = list(range(10, 23))
+                assert rng.choice(seq) == seq[below(len(seq))]
+            elif op == "sample":
+                pool = list(range(9))
+                want = []
+                for i in range(4):
+                    j = below(9 - i)
+                    want.append(pool[j])
+                    pool[j] = pool[9 - i - 1]
+                assert rng.sample(range(9), 4) == want
+            else:
+                got, want = list(range(6)), list(range(6))
+                rng.shuffle(got)
+                for i in reversed(range(1, 6)):
+                    j = below(i + 1)
+                    want[i], want[j] = want[j], want[i]
+                assert got == want
+        assert rng.counter == int(streams.counters[0])
+
+    def test_node_keys_match_scalar_mix(self):
+        nodes = [0, 1, 5, -3, 2**64 + 9]
+        base = derive_int("s", "node")
+        assert node_keys("s", nodes).tolist() == [
+            mix64(base, v % 2**64) for v in nodes
+        ]
+        assert (
+            node_keys(3, range(4)).tolist()
+            == node_keys(3, [0, 1, 2, 3]).tolist()
+        )
+
+    def test_state_is_key_and_counter(self):
+        rng = CounterRandom(12345)
+        rng.randrange(1000)
+        copy = pickle.loads(pickle.dumps(rng))
+        other = CounterRandom()
+        other.setstate(rng.getstate())
+        seq = [rng.random() for _ in range(5)]
+        assert [copy.random() for _ in range(5)] == seq
+        assert [other.random() for _ in range(5)] == seq
+        assert 0.0 <= min(seq) and max(seq) < 1.0
+
+
+class TestHandoffContinuity:
+    """Kernel draws, then generator draws on the same network, equal a
+    pure scalar run of each node's stream."""
+
+    @staticmethod
+    def _network(seed):
+        def program(ctx):
+            yield {}
+            return None
+
+        return Network(
+            nx.path_graph(5), FunctionProgram.factory(program), seed=seed
+        )
+
+    def test_kernel_then_generator_draws(self):
+        network = self._network(11)
+        plan = network.plan()
+        first = plan.randrange(np.arange(5), 97)
+        second = plan.randrange(np.array([1, 3]), np.array([5, 2**40]))
+        # Materializing now hands every node its advanced stream.
+        later = {v: ctx.rng.randrange(1000) for v, ctx in
+                 network.contexts.items()}
+        for i, v in enumerate(plan.order):
+            pure = CounterRandom(mix64(derive_int(11, "node"), v))
+            assert pure.randrange(97) == first[i]
+            if v in (1, 3):
+                bound = 5 if v == 1 else 2**40
+                assert pure.randrange(bound) == second[[1, 3].index(v)]
+            assert pure.randrange(1000) == later[v]
+
+    def test_generator_then_kernel_draws(self):
+        network = self._network(11)
+        contexts = network.contexts
+        plan = network.plan()
+        early = {v: contexts[v].rng.random() for v in (0, 4)}
+        drawn = plan.randrange(np.arange(5), 10)
+        last = {v: ctx.rng.randrange(3) for v, ctx in contexts.items()}
+        for i, v in enumerate(plan.order):
+            pure = CounterRandom(mix64(derive_int(11, "node"), v))
+            if v in early:
+                assert pure.random() == early[v]
+            assert pure.randrange(10) == drawn[i]
+            assert pure.randrange(3) == last[v]
 
 
 class TestPolicy:

@@ -266,9 +266,9 @@ class TestPhaseTable:
         return [(p.name, p.rounds) for p in result.phases]
 
     def test_improved_ending_in_trials(self):
-        # Every node is colored at round 39, inside the 66-round
+        # Every node is colored at round 42, inside the 66-round
         # trials section, which therefore never logs itself.
-        assert self._phases(improved_d2_color) == [("trials", 39)]
+        assert self._phases(improved_d2_color) == [("trials", 42)]
 
     def test_improved_cut_in_trials(self):
         assert self._phases(improved_d2_color, max_rounds=5) == [
@@ -277,7 +277,7 @@ class TestPhaseTable:
 
     def test_basic_ending_in_trials(self):
         assert self._phases(basic_d2_color) == [
-            ("similarity", 2), ("trials", 39),
+            ("similarity", 2), ("trials", 42),
         ]
 
     def test_basic_cut_in_similarity(self):
@@ -292,7 +292,7 @@ class TestPhaseTable:
             ("similarity", 2),
             ("reduce-ladder", 0),
             ("learn-palette", 2),
-            ("finish", 23),
+            ("finish", 31),
         ]
 
 

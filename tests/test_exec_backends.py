@@ -300,6 +300,33 @@ class TestSweepBackend:
         assert not result.ok
         assert "KeyError" in result.error
 
+    @pytest.mark.parametrize("inner", ["fastpath", "vectorized"])
+    def test_run_cell_incomplete_coloring_fails(self, monkeypatch, inner):
+        # A randomized run stopped by its round cap returns normally
+        # (raise_on_timeout=False) with uncolored nodes: the cell must
+        # fail, not pass as a success.
+        from repro.core.d2color import improved_d2_color
+
+        spec = registry.AlgorithmSpec(
+            name="capped-improved",
+            kind="randomized",
+            entry_point=lambda graph, seed, policy: improved_d2_color(
+                graph, seed=seed, policy=policy, max_rounds=2,
+                allow_deterministic_fallback=False,
+            ),
+            palette_bound=lambda delta: delta * delta + 1,
+        )
+        monkeypatch.setitem(registry._REGISTRY, spec.name, spec)
+        cell = SweepCell.from_graph(
+            spec.name, "petersen", 0, nx.petersen_graph()
+        )
+        result = run_cell(cell, inner=inner)
+        assert not result.ok
+        assert result.error == "incomplete: 10 nodes uncolored after 2 rounds"
+        assert result.rounds == 2
+        swept = SweepBackend(executor="serial", inner=inner).run_grid([cell])
+        assert swept.failures[0].error == result.error
+
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_grid_deterministic_across_executors(self, executor):
         cells = self._cells(seeds=(0, 1))

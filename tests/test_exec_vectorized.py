@@ -622,7 +622,7 @@ class TestRandomizedD2Kernel:
 
     @pytest.mark.parametrize(
         "constants, handoffs",
-        [(None, []), (SHORT, [{"round": 6, "uncolored": 21}])],
+        [(None, []), (SHORT, [{"round": 6, "uncolored": 17}])],
         ids=["window-end", "handoff"],
     )
     def test_handoff_event(self, constants, handoffs):

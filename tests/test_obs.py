@@ -15,17 +15,21 @@ shard merges, and the ``python -m repro.obs`` report CLI.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
+import networkx as nx
 import pytest
 
 import repro
 
 from repro import registry as algo_registry
 from repro.congest.metrics import RunMetrics
+from repro.core.constants import Constants
+from repro.core.d2color import basic_d2_color, improved_d2_color
 from repro.exec import (
     ShardManifest,
     SweepBackend,
@@ -33,6 +37,7 @@ from repro.exec import (
     grid_cells,
     merge_shards,
     run_shard,
+    use_backend,
 )
 from repro.exec.shards import stats_path
 from repro.obs import (
@@ -341,6 +346,63 @@ class TestTracingNeverPerturbs:
         names = {r.get("name") for r in iter_spans(records)}
         assert {"sweep.grid", "sweep.prebuild", "sweep.cell"} <= names
         assert "exec.run" in names or "exec.kernel" in names
+
+
+class TestHybridKernelSpans:
+    """The randomized hybrid kernel charges its generator sections to
+    their own ``exec.run`` spans (children of ``exec.kernel``, so
+    self-time attribution does not bill them as kernel time), and the
+    plan's stream-key derivation to one ``plan.bulk_rng`` span."""
+
+    GRAPH = nx.random_regular_graph(3, 40, seed=1)
+    SHORT = dataclasses.replace(Constants.practical(), c0=0.3)
+
+    @pytest.mark.parametrize(
+        "color, runs",
+        [(improved_d2_color, 1), (basic_d2_color, 2)],
+        ids=["improved", "basic"],
+    )
+    def test_generator_sections_are_exec_run_children(
+        self, tmp_path, color, runs
+    ):
+        rec = TraceRecorder(str(tmp_path / "t.jsonl"))
+        with use_recorder(rec), use_backend("vectorized"):
+            result = color(
+                self.GRAPH,
+                seed=1,
+                constants=self.SHORT,
+                max_rounds=60,
+                allow_deterministic_fallback=False,
+            )
+        rec.close()
+        records = read_trace(str(tmp_path / "t.jsonl"))
+        assert validate_trace(records) == []
+        spans = list(iter_spans(records))
+
+        (kernel,) = [s for s in spans if s["name"] == "exec.kernel"]
+        loop_runs = [s for s in spans if s["name"] == "exec.run"]
+        (window,) = [s for s in spans if s["name"] == "kernel.try_phases"]
+        assert len(loop_runs) == runs
+        for span_ in loop_runs + [window]:
+            assert kernel["t"] <= span_["t"]
+            assert (
+                span_["t"] + span_["dur"] <= kernel["t"] + kernel["dur"]
+            )
+        assert all(
+            s["attrs"]["backend"] == "fastpath" for s in loop_runs
+        )
+        # Loop rounds + window rounds are the kernel's whole run.
+        assert (
+            sum(s["attrs"]["rounds"] for s in loop_runs)
+            + window["attrs"]["rounds"]
+            == kernel["attrs"]["rounds"]
+            == result.rounds
+        )
+        assert loop_runs[-1]["attrs"]["halted"] is False
+
+        (bulk,) = [s for s in spans if s["name"] == "plan.bulk_rng"]
+        assert bulk["attrs"]["n"] == self.GRAPH.number_of_nodes()
+        assert kernel["t"] <= bulk["t"]
 
 
 class TestTracedShardedSweep:
