@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 import networkx as nx
 
@@ -171,6 +171,19 @@ class NetworkPlan:
         """The (unmaterialized) input dict of ``node``; never copied,
         callers must not mutate it."""
         return self.network._inputs.get(node, _EMPTY_INPUT)
+
+    def input_records(self) -> Iterable[Dict[str, Any]]:
+        """The input dicts of the nodes in :attr:`order` — or only the
+        one every node shares, when the inputs are a
+        :class:`UniformInputs` over the graph's own node view, so
+        kernels validate it once instead of per node."""
+        inputs = self.network._inputs
+        if (
+            isinstance(inputs, UniformInputs)
+            and inputs._nodes is self.network.graph.nodes
+        ):
+            return (inputs._payload,)
+        return map(self.input_for, self.order)
 
 
 class Network:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import networkx as nx
 
-from repro.congest.network import Network
+from repro.congest.network import Network, UniformInputs
 from repro.congest.policy import BandwidthPolicy
 from repro.congest.node import NodeContext, NodeProgram
 from repro.core.constants import Constants
@@ -240,7 +240,7 @@ def _run_randomized(
         seed=seed,
         policy=policy,
         delta=delta,
-        inputs={v: data for v in graph.nodes},
+        inputs=UniformInputs(graph.nodes, data),
     )
     run = network.run(
         max_rounds=max_rounds,

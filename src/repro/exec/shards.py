@@ -24,9 +24,10 @@ key through :mod:`repro.workloads` and its instance cache.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import (
     Any,
     Callable,
@@ -38,11 +39,14 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.policy import BandwidthMode, BandwidthPolicy
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.exec.sweep import (
+    CellColoring,
     CellResult,
     SweepCell,
     SweepResult,
@@ -67,21 +71,13 @@ class ShardIncompleteError(RuntimeError):
 def policy_to_json(policy: Optional[BandwidthPolicy]) -> Optional[Dict]:
     if policy is None:
         return None
-    return {
-        "mode": policy.mode.value,
-        "beta": policy.beta,
-        "min_bits": policy.min_bits,
-    }
+    return {**asdict(policy), "mode": policy.mode.value}
 
 
 def policy_from_json(data: Optional[Dict]) -> Optional[BandwidthPolicy]:
     if data is None:
         return None
-    return BandwidthPolicy(
-        mode=BandwidthMode(data["mode"]),
-        beta=data["beta"],
-        min_bits=data["min_bits"],
-    )
+    return BandwidthPolicy(**{**data, "mode": BandwidthMode(data["mode"])})
 
 
 def cell_to_json(cell: SweepCell) -> Dict:
@@ -131,73 +127,51 @@ def cell_from_json(data: Dict) -> SweepCell:
     )
 
 
-def _metrics_to_json(metrics: RunMetrics) -> Dict:
-    return {
-        "rounds": metrics.rounds,
-        "total_messages": metrics.total_messages,
-        "total_bits": metrics.total_bits,
-        "max_message_bits": metrics.max_message_bits,
-        "budget_bits": metrics.budget_bits,
-        "violations": metrics.violations,
-        "worst_violation_bits": metrics.worst_violation_bits,
-        "per_round": [
-            {
-                "round_index": r.round_index,
-                "messages": r.messages,
-                "bits": r.bits,
-                "max_message_bits": r.max_message_bits,
-            }
-            for r in metrics.per_round
-        ],
-    }
+def _coloring_to_json(coloring: CellColoring) -> Dict:
+    """Colors as base64 of little-endian int32 (int64 once a color
+    needs it); nodes as base64 int64, omitted when exactly 0..n-1."""
+    nodes, colors = coloring.nodes, coloring.colors
+    dtype = "<i8" if colors.size and colors.max() >= 2**31 else "<i4"
+    data = {"dtype": dtype, "colors": _b64(colors.astype(dtype))}
+    if nodes.size and (nodes[0], nodes[-1]) != (0, nodes.size - 1):
+        data["nodes"] = _b64(nodes.astype("<i8"))
+    return data
 
 
-def _metrics_from_json(data: Dict) -> RunMetrics:
-    return RunMetrics(
-        rounds=data["rounds"],
-        total_messages=data["total_messages"],
-        total_bits=data["total_bits"],
-        max_message_bits=data["max_message_bits"],
-        budget_bits=data["budget_bits"],
-        violations=data["violations"],
-        worst_violation_bits=data["worst_violation_bits"],
-        per_round=[
-            RoundMetrics(
-                round_index=r["round_index"],
-                messages=r["messages"],
-                bits=r["bits"],
-                max_message_bits=r["max_message_bits"],
-            )
-            for r in data["per_round"]
-        ],
-    )
+def _coloring_from_json(data: Dict) -> CellColoring:
+    if data["dtype"] not in ("<i4", "<i8"):
+        raise ValueError(f"unsupported color dtype {data['dtype']!r}")
+    colors = _ints(data["colors"], data["dtype"])
+    nodes = np.arange(colors.size, dtype=np.int64)
+    if "nodes" in data:
+        nodes = _ints(data["nodes"], "<i8")
+    return CellColoring(nodes, colors)
+
+
+def _b64(array: np.ndarray) -> str:
+    return base64.b64encode(array.tobytes()).decode("ascii")
+
+
+def _ints(text: str, dtype: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), dtype).astype(np.int64)
 
 
 def result_to_json(result: CellResult) -> Dict:
-    return {
-        "algorithm": result.algorithm,
-        "scenario": result.scenario,
-        "seed": result.seed,
-        "colors_used": result.colors_used,
-        "palette_size": result.palette_size,
-        "rounds": result.rounds,
-        "metrics": _metrics_to_json(result.metrics),
-        "coloring": [list(pair) for pair in result.coloring],
-        "error": result.error,
-    }
+    data = dict(vars(result))
+    data["metrics"] = asdict(result.metrics)
+    data["coloring"] = _coloring_to_json(result.coloring)
+    return data
 
 
 def result_from_json(data: Dict) -> CellResult:
+    metrics = dict(data["metrics"])
+    metrics["per_round"] = [RoundMetrics(**r) for r in metrics["per_round"]]
     return CellResult(
-        algorithm=data["algorithm"],
-        scenario=data["scenario"],
-        seed=data["seed"],
-        colors_used=data["colors_used"],
-        palette_size=data["palette_size"],
-        rounds=data["rounds"],
-        metrics=_metrics_from_json(data["metrics"]),
-        coloring=tuple(tuple(pair) for pair in data["coloring"]),
-        error=data["error"],
+        **{
+            **data,
+            "metrics": RunMetrics(**metrics),
+            "coloring": _coloring_from_json(data["coloring"]),
+        }
     )
 
 
@@ -641,23 +615,20 @@ def merge_shards(
         )
     # Sum the per-shard cache-activity sidecars (advisory: absent or
     # torn sidecars contribute nothing and never block the merge).
+    sidecars = [
+        _read_stats(stats_path(checkpoint_dir, shard))
+        for shard in range(manifest.num_shards)
+    ]
     cache_stats = None
-    for shard in range(manifest.num_shards):
-        data = _read_stats(stats_path(checkpoint_dir, shard))
-        if data:
-            from repro.workloads.cache import CacheStats
+    if any(sidecars):
+        from repro.workloads.cache import CacheStats
 
-            if cache_stats is None:
-                cache_stats = CacheStats()
-            cache_stats.add(
-                CacheStats(
-                    hits=data.get("hits", 0),
-                    misses=data.get("misses", 0),
-                    builds=data.get("builds", 0),
-                    square_builds=data.get("square_builds", 0),
-                    csr_builds=data.get("csr_builds", 0),
-                )
-            )
+        cache_stats = CacheStats(
+            **{
+                name: sum(data.get(name, 0) for data in sidecars)
+                for name in CacheStats().snapshot()
+            }
+        )
     return SweepResult(
         cells=[results[i] for i in range(len(manifest.cells))],
         cache_stats=cache_stats,

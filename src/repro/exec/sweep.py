@@ -38,12 +38,14 @@ from typing import (
     Callable,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
 )
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.metrics import RunMetrics
 from repro.congest.policy import BandwidthPolicy
@@ -163,6 +165,57 @@ class SweepCell:
         return self.instance().delta
 
 
+@dataclass(frozen=True, eq=False)
+class CellColoring:
+    """A cell's coloring as two aligned, read-only int64 vectors:
+    ``nodes`` ascending and ``colors`` with -1 for uncolored.  It
+    iterates as ``(node, color-or-None)`` pairs in node order, so
+    ``tuple(coloring)`` is the sorted pair tuple a sweep fingerprint
+    renders and ``dict(coloring)`` the ``{node: color}`` map."""
+
+    nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    colors: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+
+    def __post_init__(self):
+        if self.nodes.shape != self.colors.shape:
+            raise ValueError("nodes and colors differ in length")
+        self.nodes.flags.writeable = self.colors.flags.writeable = False
+
+    @classmethod
+    def from_dict(cls, coloring: Mapping) -> "CellColoring":
+        """The vectors of a ``{node: color-or-None}`` map, in one pass
+        over its values; sorted only if its keys do not ascend.  A
+        negative color raises :class:`ValueError` (it would read as
+        uncolored), one int64 cannot hold :class:`TypeError`."""
+        values = list(coloring.values())
+        uncolored = values.count(None)
+        if uncolored:
+            values = [-1 if c is None else c for c in values]
+        colors = np.array(values, dtype=None if values else np.int64)
+        if colors.dtype != np.int64:
+            raise TypeError(f"colors must be int64 ints; got {colors.dtype}")
+        if np.count_nonzero(colors < 0) != uncolored:
+            raise ValueError("negative color (-1 marks uncolored nodes)")
+        nodes = np.fromiter(coloring, dtype=np.int64, count=colors.size)
+        if (nodes[1:] < nodes[:-1]).any():
+            perm = np.argsort(nodes)
+            nodes, colors = nodes[perm], colors[perm]
+        return cls(nodes, colors)
+
+    def __iter__(self):
+        colors = self.colors.tolist()
+        if -1 in colors:
+            colors = [c if c >= 0 else None for c in colors]
+        return zip(self.nodes.tolist(), colors)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, CellColoring)
+            and np.array_equal(self.nodes, other.nodes)
+            and np.array_equal(self.colors, other.colors)
+        )
+
+
 @dataclass
 class CellResult:
     """Outcome of one executed :class:`SweepCell`."""
@@ -174,8 +227,7 @@ class CellResult:
     palette_size: int = 0
     rounds: int = 0
     metrics: RunMetrics = field(default_factory=RunMetrics)
-    #: Canonical coloring fingerprint: sorted ``(node, color)`` pairs.
-    coloring: Tuple[Tuple[int, Any], ...] = ()
+    coloring: CellColoring = field(default_factory=CellColoring)
     error: Optional[str] = None
 
     @property
@@ -230,7 +282,7 @@ class SweepResult:
                     c.palette_size,
                     c.rounds,
                     c.metrics,
-                    c.coloring,
+                    tuple(c.coloring),
                     c.error,
                 )
                 for c in self.cells
@@ -244,7 +296,9 @@ def run_cell(cell: SweepCell, inner: str = "fastpath") -> CellResult:
     Exceptions become ``error`` fields rather than poisoning the whole
     grid — a sweep is a survey, not an assertion.  So does a run that
     ended (at its round cap) with nodes still uncolored: its result is
-    kept, with ``error`` naming the uncolored count.
+    kept, with ``error`` naming the uncolored count.  A coloring that
+    :meth:`CellColoring.from_dict` refuses (a negative color, say)
+    fails the cell like an exception.
     """
     from repro import registry
 
@@ -272,6 +326,7 @@ def run_cell(cell: SweepCell, inner: str = "fastpath") -> CellResult:
         result = spec.run(
             graph, seed=cell.seed, policy=cell.policy, backend=inner
         )
+        coloring = CellColoring.from_dict(result.coloring)
     except Exception as exc:  # noqa: BLE001 - reported per cell
         return traced(
             CellResult(
@@ -281,7 +336,7 @@ def run_cell(cell: SweepCell, inner: str = "fastpath") -> CellResult:
                 error=f"{type(exc).__name__}: {exc}",
             )
         )
-    uncolored = sum(c is None for c in result.coloring.values())
+    uncolored = int(np.count_nonzero(coloring.colors < 0))
     return traced(
         CellResult(
             algorithm=cell.algorithm,
@@ -291,7 +346,7 @@ def run_cell(cell: SweepCell, inner: str = "fastpath") -> CellResult:
             palette_size=result.palette_size,
             rounds=result.rounds,
             metrics=result.metrics,
-            coloring=tuple(sorted(result.coloring.items())),
+            coloring=coloring,
             error=(
                 f"incomplete: {uncolored} nodes uncolored after "
                 f"{result.rounds} rounds"

@@ -64,6 +64,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Type
 
+import numpy as np
+
 from repro.baselines.luby import (
     _STATE_DOMINATED,
     _STATE_IN_MIS,
@@ -80,6 +82,7 @@ from repro.baselines.trial import TrialProgram
 from repro.congest.errors import NonterminationError
 from repro.congest.message import bit_size, int_bits
 from repro.congest.metrics import RunMetrics
+from repro.congest.network import UniformInputs
 from repro.congest.policy import BandwidthMode
 from repro.core.d2color import RandomizedD2Program
 from repro.core.trying import TAG_ADOPT, TAG_TRY, TAG_VERDICT, all_colored
@@ -92,18 +95,11 @@ from repro.det.linial import _TAG_COLOR as _LINIAL_COLOR
 from repro.det.linial import _TAG_RELAY as _LINIAL_RELAY
 from repro.det.locally_iterative import LocallyIterativeProgram
 from repro.det.part_d2coloring import PartLocallyIterativeD2
+from repro.exec import arrays
 from repro.exec.base import ExecutionBackend
 from repro.exec.fastpath import PAUSED, GeneratorLoop
 from repro.obs import trace as obs_trace
 from repro.util.primes import is_prime
-
-try:  # numpy/scipy are required deps, but degrade gracefully without
-    import numpy as np
-
-    from repro.exec import arrays
-except ImportError:  # pragma: no cover - container always has numpy
-    np = None
-    arrays = None
 
 #: Values any node ever sends stay strictly inside int64 under this
 #: bound, and every array comparison is exact.
@@ -167,9 +163,7 @@ class VectorizedBackend(ExecutionBackend):
     ):
         rec = obs_trace.recorder()
         factory = network.program_factory
-        if np is None:
-            fallback_cause = "no-numpy"
-        elif record_rounds:
+        if record_rounds:
             fallback_cause = "record-rounds"
         elif network._started:
             fallback_cause = "already-started"
@@ -455,19 +449,15 @@ def _nbr_colors_writeback(csr, order, colors, adopt_iter, resumes):
     return tables
 
 
-def _color_table(order, colors):
+def _table(order, values):
+    """Builder of the ``{node: value}`` table of an int vector aligned
+    with ``order``; -1 (the uncolored sentinel) reads as None."""
+
     def build():
-        return {
-            node: (int(c) if c >= 0 else None)
-            for node, c in zip(order, colors.tolist())
-        }
-
-    return build
-
-
-def _int_table(order, values):
-    def build():
-        return dict(zip(order, (int(v) for v in values.tolist())))
+        table = values.tolist()
+        if -1 in table:
+            table = [v if v >= 0 else None for v in table]
+        return dict(zip(order, table))
 
     return build
 
@@ -489,29 +479,22 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
     n = csr.n
     order = csr.order
 
-    palettes = np.empty(n, dtype=np.int64)
-    colors = np.full(n, -1, dtype=np.int64)
-    for i, node in enumerate(order):
-        data = plan.input_for(node)
-        if data.get("avoid_known", False):
+    def parse(data):
+        """``(palette, color or -1)`` of one input dict; None declines
+        (a missing palette: the constructor decides; a negative color
+        would break the -1 sentinel)."""
+        palette, color = data.get("palette"), data.get("color")
+        if data.get("avoid_known", False) or not _is_int(palette, 1):
             return None
-        palette = data.get("palette")
-        if (
-            not isinstance(palette, int)
-            or palette <= 0
-            or palette >= _INT64_SAFE
-        ):
-            return None  # incl. missing key: constructor decides
-        palettes[i] = palette
-        color = data.get("color")
-        if color is not None:
-            if (
-                not isinstance(color, int)
-                or color < 0
-                or color >= _INT64_SAFE
-            ):
-                return None  # negative breaks the -1 sentinel
-            colors[i] = color
+        if color is not None and not _is_int(color, 0):
+            return None
+        return palette, -1 if color is None else color
+
+    parsed = [parse(data) for data in plan.input_records()]
+    if None in parsed:
+        return None
+    table = np.broadcast_to(np.array(parsed, dtype=np.int64), (n, 2))
+    palettes, colors = table[:, 0].copy(), table[:, 1].copy()
     metered = network.policy.mode is not BandwidthMode.UNBOUNDED
     meter = _Meter(metered)
     if not meter.fits(int(palettes.max()) - 1, network._budget):
@@ -530,8 +513,8 @@ def _trial_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
         check_stop=stop_when is not None, idle_forever=True,
     )
 
-    network._vector_tables["color"] = _color_table(order, colors)
-    network._vector_tables["phases_tried"] = _int_table(order, phases_tried)
+    network._vector_tables["color"] = _table(order, colors)
+    network._vector_tables["phases_tried"] = _table(order, phases_tried)
     return _finish(
         network, rounds, meter.total_messages, meter.total_bits,
         meter.max_message_bits, r, status == "stopped",
@@ -637,8 +620,8 @@ def _poly_phase_kernel(
             np.minimum(adopt_phase - 1, t_booked), q - 1
         ) + 1,
     )
-    network._vector_tables["color"] = _color_table(order, colors)
-    network._vector_tables["blocked_phases"] = _int_table(order, blocked)
+    network._vector_tables["color"] = _table(order, colors)
+    network._vector_tables["blocked_phases"] = _table(order, blocked)
     return _finish(
         network, rounds, meter.total_messages, meter.total_bits,
         meter.max_message_bits, r, status == "stopped",
@@ -1315,7 +1298,7 @@ def _naive_kernel(network, *, max_rounds, stop_when, raise_on_timeout):
             adopt_phase[win] = t
         r += 1
 
-    network._vector_tables["color"] = _color_table(order, colors)
+    network._vector_tables["color"] = _table(order, colors)
     return _finish(
         network, r, total_messages, total_bits, max_message_bits, r,
         stopped, timed_out, max_rounds, raise_on_timeout,
@@ -1398,7 +1381,7 @@ def _randomized_d2_kernel(
             data.get("initial_trials"),
             data.get("sim_config"),
         )
-        for data in map(plan.input_for, order)
+        for data in plan.input_records()
     }
     if len(configs) != 1:
         return None
@@ -1473,10 +1456,10 @@ def _randomized_d2_kernel(
     if loop is None and not handoff:
         # Improved, ended inside the window: no generator runs again,
         # so no program is built.
-        network._vector_tables["color"] = _color_table(order, colors)
-        network._vector_tables["phase_log"] = lambda: {
-            node: list(log) for node in order
-        }
+        network._vector_tables["color"] = _table(order, colors)
+        network._vector_tables["phase_log"] = lambda: UniformInputs(
+            network.graph.nodes, log
+        )
         return _finish(
             network, rounds, meter.total_messages, meter.total_bits,
             meter.max_message_bits, r, status == "stopped",

@@ -294,7 +294,8 @@ class CSRGraphView(nx.Graph):
         csr = self.csr_adjacency
         if csr is None:
             return nx.Graph.nodes.__get__(self)
-        return _CSRNodeView(csr.n)
+        # One view per graph, like networkx's cached ``nodes``.
+        return self.__dict__.setdefault("_node_view", _CSRNodeView(csr.n))
 
     @property
     def edges(self):

@@ -20,15 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import networkx as nx
-
-try:  # numpy is a required dep, but degrade gracefully without
-    import numpy as np
-except ImportError:  # pragma: no cover - container always has numpy
-    np = None
-
-#: Color values outside this magnitude decline the array fast path
-#: (int64 comparisons would be inexact).
-_INT64_SAFE = 2**62
+import numpy as np
 
 
 @dataclass
@@ -86,70 +78,51 @@ def _nodes_within(graph: nx.Graph, source, k: int) -> List:
     return out
 
 
-def _check_csr(csr, coloring, k, palette_size) -> Optional[CheckReport]:
-    """Array fast path over CSR rows; ``None`` declines the check
-    (self-loops, unsupported ``k``, or colors int64 can't compare
-    exactly), in which case the caller falls back to BFS."""
-    if np is None or csr.has_selfloops:
+def _csr_findings(csr, coloring, k, palette_size) -> Optional[Tuple]:
+    """``(uncolored, out_of_palette, conflicts)`` from the array core
+    over CSR rows; ``None`` declines the check (self-loops,
+    unsupported ``k``, or colors that are not all ints int64 holds),
+    in which case the caller falls back to BFS.
+
+    The coloring is read into CSR order once; a dtype check on the
+    colored values stands in for per-value type checks."""
+    if csr.has_selfloops or k not in (1, 2):
         return None
-    if k == 1:
-        indptr, indices = csr.g_indptr, csr.g_indices
-    elif k == 2:
-        indptr, indices = csr.g2_indptr, csr.g2_indices
-    else:
-        return None
-    n = csr.n
+    indptr, indices = (
+        (csr.g_indptr, csr.g_indices) if k == 1
+        else (csr.g2_indptr, csr.g2_indices)
+    )
     order = csr.order
-    vals = [coloring.get(v) for v in order]
-    for c in vals:
-        if c is not None and not (
-            isinstance(c, int) and -_INT64_SAFE < c < _INT64_SAFE
-        ):
-            return None
-    colored = np.fromiter(
-        (c is not None for c in vals), dtype=bool, count=n
-    )
-    colors = np.fromiter(
-        (0 if c is None else c for c in vals),
-        dtype=np.int64,
-        count=n,
-    )
-    uncolored = [v for v, c in zip(order, vals) if c is None]
+    vals = list(map(coloring.get, order))
+    colored = np.ones(csr.n, dtype=bool)
+    if None in vals:
+        colored = np.array([c is not None for c in vals], dtype=bool)
+        vals = [c for c in vals if c is not None]
+    found = np.array(vals)
+    if found.size and (found.dtype != np.int64 or found.ndim != 1):
+        return None
+    colors = np.zeros(csr.n, dtype=np.int64)
+    colors[colored] = found
+    uncolored = [order[i] for i in np.flatnonzero(~colored).tolist()]
     out_of_palette: List[int] = []
     if palette_size is not None:
-        bad = colored & (
-            (colors < 0) | (colors >= palette_size)
-        )
-        out_of_palette = [
-            order[i] for i in np.flatnonzero(bad).tolist()
-        ]
-    row_of = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(indptr)
-    )
-    clash = (
-        (indices > row_of)
-        & colored[row_of]
-        & colored[indices]
-        & (colors[row_of] == colors[indices])
-    )
+        bad = colored & ((colors < 0) | (colors >= palette_size))
+        out_of_palette = [order[i] for i in np.flatnonzero(bad).tolist()]
+    # Entries of equal-colored pairs, then their rows (no n-by-degree
+    # row index is built).
+    degrees = np.diff(indptr)
+    same = np.repeat(colors, degrees) == colors[indices]
+    if uncolored:
+        same &= np.repeat(colored, degrees) & colored[indices]
+    hits = np.flatnonzero(same)
+    rows = np.searchsorted(indptr, hits, side="right") - 1
+    cols = indices[hits]
+    upper = cols > rows
     conflicts = [
         (order[i], order[j])
-        for i, j in zip(
-            row_of[clash].tolist(), indices[clash].tolist()
-        )
+        for i, j in zip(rows[upper].tolist(), cols[upper].tolist())
     ]
-    colors_used = len(
-        {c for c in coloring.values() if c is not None}
-    )
-    valid = not (uncolored or conflicts or out_of_palette)
-    return CheckReport(
-        valid=valid,
-        conflicts=conflicts,
-        uncolored=uncolored,
-        out_of_palette=out_of_palette,
-        colors_used=colors_used,
-        palette_size=palette_size,
-    )
+    return uncolored, out_of_palette, conflicts
 
 
 def check_distance_k_coloring(
@@ -164,20 +137,35 @@ def check_distance_k_coloring(
     ``adjacency``, when given, is either a precomputed ``{node:
     distance-<=k neighbors}`` map (e.g. the cached G² adjacency for
     ``k == 2``) used instead of the per-node BFS, or a
-    :class:`~repro.exec.arrays.CSRAdjacency` of G — the array fast
-    path then checks every pair with a handful of vectorized passes
-    over the CSR rows (``k`` 1 and 2; anything it cannot replay
-    exactly falls back to BFS).  Same verdicts either way; conflict
-    pairs from the CSR path come out lexicographically sorted.
+    :class:`~repro.exec.arrays.CSRAdjacency` of G — the array core
+    then checks every pair with a handful of vectorized passes over
+    the CSR rows (``k`` 1 and 2; anything it cannot replay exactly
+    falls back to BFS).  Same verdicts either way; conflict pairs from
+    the CSR path come out lexicographically sorted.
     """
+    findings = None
     if adjacency is not None and hasattr(adjacency, "g_indptr"):
-        report = _check_csr(adjacency, coloring, k, palette_size)
-        if report is not None:
-            return report
+        findings = _csr_findings(adjacency, coloring, k, palette_size)
         adjacency = None
-    uncolored = [
-        v for v in graph.nodes if coloring.get(v) is None
-    ]
+    if findings is None:
+        findings = _bfs_findings(
+            graph, coloring, k, palette_size, adjacency
+        )
+    uncolored, out_of_palette, conflicts = findings
+    return CheckReport(
+        valid=not (uncolored or conflicts or out_of_palette),
+        conflicts=conflicts,
+        uncolored=uncolored,
+        out_of_palette=out_of_palette,
+        colors_used=len(set(coloring.values()) - {None}),
+        palette_size=palette_size,
+    )
+
+
+def _bfs_findings(graph, coloring, k, palette_size, adjacency) -> Tuple:
+    """``(uncolored, out_of_palette, conflicts)`` by per-node BFS, or
+    from a precomputed ``{node: distance-<=k neighbors}`` map."""
+    uncolored = [v for v in graph.nodes if coloring.get(v) is None]
     out_of_palette = []
     if palette_size is not None:
         out_of_palette = [
@@ -200,18 +188,7 @@ def check_distance_k_coloring(
                 continue
             if coloring.get(u) == cv:
                 conflicts.append((v, u))
-    colors_used = len(
-        {c for c in coloring.values() if c is not None}
-    )
-    valid = not (uncolored or conflicts or out_of_palette)
-    return CheckReport(
-        valid=valid,
-        conflicts=conflicts,
-        uncolored=uncolored,
-        out_of_palette=out_of_palette,
-        colors_used=colors_used,
-        palette_size=palette_size,
-    )
+    return uncolored, out_of_palette, conflicts
 
 
 def check_d2_coloring(

@@ -5,7 +5,9 @@ The checker deliberately recomputes distance-2 adjacency with its own
 BFS instead of reusing :mod:`repro.graphs.square`; these tests pit the
 two implementations against each other on random graphs and random
 (partial, possibly invalid) colorings — they must agree on validity
-and on the exact conflict sets.
+and on the exact conflict sets.  The checker's array core over CSR
+rows is pitted against its BFS path the same way, on colorings that
+mix Nones, out-of-palette values, bools and values beyond int64.
 """
 
 from __future__ import annotations
@@ -15,8 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.greedy import greedy_d2_coloring
+from repro.exec.arrays import build_csr
 from repro.graphs.square import d2_neighbors, square
-from repro.verify.checker import check_d2_coloring
+from repro.verify.checker import (
+    check_d2_coloring,
+    check_distance_k_coloring,
+)
 
 
 @st.composite
@@ -47,6 +53,20 @@ def graph_with_coloring(draw, max_n: int = 10, palette: int = 5):
         )
         for v in graph.nodes
     }
+    return graph, coloring, palette
+
+
+@st.composite
+def graph_with_hostile_coloring(draw, max_n: int = 10, palette: int = 5):
+    graph = draw(random_graphs(max_n=max_n))
+    value = st.one_of(
+        st.none(),
+        st.integers(min_value=-2, max_value=palette + 2),
+        st.booleans(),
+        st.integers(min_value=2**63, max_value=2**70),
+        st.integers(min_value=-(2**70), max_value=-(2**63) - 1),
+    )
+    coloring = {v: draw(value) for v in graph.nodes}
     return graph, coloring, palette
 
 
@@ -110,6 +130,27 @@ class TestCheckerAgreesWithSquare:
                 if v in pair
             }
             assert hit == d2_neighbors(graph, v)
+
+
+class TestArrayCoreAgreesWithBfs:
+    @given(
+        graph_with_hostile_coloring(),
+        st.integers(1, 2),
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_same_report(self, case, k, with_palette):
+        graph, coloring, palette = case
+        palette = palette if with_palette else None
+        via_bfs = check_distance_k_coloring(graph, coloring, k, palette)
+        via_core = check_distance_k_coloring(
+            graph, coloring, k, palette, adjacency=build_csr(graph)
+        )
+        assert via_core.valid == via_bfs.valid
+        assert sorted(via_core.conflicts) == sorted(via_bfs.conflicts)
+        assert via_core.uncolored == via_bfs.uncolored
+        assert via_core.out_of_palette == via_bfs.out_of_palette
+        assert via_core.colors_used == via_bfs.colors_used
 
 
 class TestOracleAlwaysValidByBothJudges:
